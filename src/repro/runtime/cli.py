@@ -438,7 +438,6 @@ def _run_sta_mode(args) -> int:
                 models,
                 options=options,
                 batched=engine_kind == "batched",
-                tensor=args.tensor == "on",
                 memory_mode="stream" if stream_kind else "resident",
                 memory_budget_bytes=args.memory_budget if stream_kind else None,
             )
@@ -458,7 +457,6 @@ def _run_sta_mode(args) -> int:
                     models,
                     options=options,
                     batched=True,
-                    tensor=args.tensor == "on",
                     use_cache=False,
                 )
                 reference = reference_engine.run(waveforms)
@@ -764,13 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="--engine hybrid: number of critical endpoints to refine with CSM "
         "per iteration — an integer, 0 (pure NLDM) or 'all' (full CSM, "
         "bitwise-checked against the reference; default: all)",
-    )
-    parser.add_argument(
-        "--tensor",
-        choices=("on", "off"),
-        default="on",
-        help="--sta mode: whole-level structure-of-arrays propagation for the "
-        "batched engine; 'off' falls back to per-instance batching (default: on)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="--sta mode: stimulus seed (default: 0)"

@@ -264,6 +264,16 @@ class TimingService:
                 f"unknown memory_mode {memory_mode!r} (use 'resident' or 'stream')",
                 "bad-request",
             )
+        if memory_budget_bytes is not None and (
+            isinstance(memory_budget_bytes, bool)
+            or not isinstance(memory_budget_bytes, int)
+            or memory_budget_bytes < 0
+        ):
+            raise ServerError(
+                f"memory_budget_bytes must be null or an integer >= 0, got "
+                f"{memory_budget_bytes!r}",
+                "bad-request",
+            )
         if (required is not None or top_k is not None) and engine != "hybrid":
             raise ServerError(
                 "'required'/'top_k' only apply to engine='hybrid'",
@@ -590,12 +600,12 @@ class TimingService:
         Multi-corner engines key separately per corner list (``"csm@TT,FF"``)
         so a session can interleave single- and multi-corner requests without
         rebuilding engines; streaming engines key separately per budget
-        (``"csm#stream:33554432"``) for the same reason.  Must hold the
-        session lock.
+        (``"csm#stream:33554432"``, ``"csm#stream:None"`` for an unbounded
+        hot set) for the same reason.  Must hold the session lock.
         """
         engine_key = kind if not corner_names else f"{kind}@{','.join(corner_names)}"
         if memory_mode == "stream":
-            engine_key += f"#stream:{memory_budget_bytes or 0}"
+            engine_key += f"#stream:{memory_budget_bytes}"
         engine = record.engines.get(engine_key)
         if engine is None:
             corner_set = self._corner_set(corner_names) if corner_names else None
@@ -616,7 +626,6 @@ class TimingService:
                     cache=self.store,
                     corners=corner_set,
                     memory_mode=memory_mode,
-                    memory_budget_bytes=memory_budget_bytes,
                 )
             elif kind == "hybrid":
                 engine = HybridEngine(

@@ -11,19 +11,26 @@ One :class:`TimingEngine` interface fronts both timing views of the paper:
 
 Both engines walk the netlist in *levelized* order — topological generations
 in which every instance's inputs are already resolved — instead of recursing
-per instance.  For the waveform engine the level is the unit of batching: all
-instances of a level are integrated in lockstep through
-:func:`repro.csm.simulate.integrate_model_many` (one vectorized update loop
-per state-grid group, regardless of cell type), which is what makes
-full-design waveform propagation tractable at hundreds to thousands of gates.
-``batched=False`` keeps the per-instance reference path; the two paths agree
-to well below the 1e-9 V equivalence budget (typically ~1e-13 V — the only
-differences are unit-last-place bracketing rounding and the lockstep loop's
-stationary-tail fill).
+per instance, and each has exactly one level loop whose modes are
+parameters:
 
-Independent fanout cones (weakly connected components of the instance graph)
-can additionally be evaluated as parallel runtime jobs via
-:func:`run_cones`.
+* the **corner axis**: a plain run is a corner axis of length 1, an MMMC run
+  (``corners=``) one of length C; a per-corner *view* supplies the context
+  digest, cell digests, loads and models, so single-corner keys
+  (``sta-context``, ``sta-level``, ``sta-run``, ``nldm-*``) and MMMC keys
+  (``*-mmmc``) come out of the same code;
+* the **memory policy**: ``"resident"`` keeps the in-memory memo and the
+  whole-run cache entry, ``"stream"`` adds liveness retirement, a pinned
+  hot-level LRU under ``memory_budget_bytes`` and fault-back from the store;
+* the **restriction set** (``only=`` / ``boundary_waveforms=``): a full run
+  is the restriction to every instance.
+
+For the waveform engine the level is the unit of batching: every level is
+one ``(rows, corners, samples)`` :class:`LevelTensor`, integrated in lockstep
+through :func:`repro.csm.simulate.integrate_model_many` and spilled to the
+store as one record.  ``batched=False`` keeps the per-instance reference path
+(the oracle the tensor loop is tested against); the two agree to well below
+the 1e-9 V equivalence budget.
 """
 
 from __future__ import annotations
@@ -33,10 +40,9 @@ import threading
 from collections import OrderedDict
 from collections.abc import Mapping as AbstractMapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..csm.base import SimulationOptions
@@ -46,13 +52,12 @@ from ..csm.models import MCSM, BaselineMISCSM, SISCSM
 from ..csm.simulate import BatchUnit, integrate_model_many, simulation_time_grid
 from ..exceptions import TimingError
 from ..runtime.cache import ResultCache
-from ..runtime.executor import Executor, run_jobs
-from ..runtime.jobs import Job, content_hash
+from ..runtime.jobs import cell_fingerprint, content_hash
 from ..waveform.level_tensor import LevelTensor
 from ..waveform.metrics import crossing_times
 from ..waveform.waveform import Waveform
 from .events import TimingEvent, detect_mis_pairs
-from .mmmc import CornerContext, CornerSet, MulticornerNLDMResult, MulticornerTimingResult
+from .mmmc import CornerSet, MulticornerNLDMResult, MulticornerTimingResult
 from .models import TimingModelLibrary
 from .netlist import GateInstance, GateNetlist, NetConnectivity, netlist_fingerprint
 
@@ -67,8 +72,6 @@ __all__ = [
     "CornerSet",
     "MulticornerTimingResult",
     "MulticornerNLDMResult",
-    "independent_cones",
-    "run_cones",
     "waveform_deviation",
 ]
 
@@ -246,13 +249,13 @@ def waveform_deviation(
 class _SpilledWaveforms(AbstractMapping):
     """Lazy per-net waveform mapping produced by a streaming run.
 
-    Primary inputs (and plain-waveform cache hits) stay resident; every other
-    net holds only a ``(level record key, row, corner)`` pointer and
-    materializes on access through the engine's hot-level LRU — a zero-copy
-    memmap view when the level has to come back from the packed store.  The
-    mapping quacks like the resident result's dict (iteration, ``in``,
-    ``len``, indexing), so reports, deviation checks and arrival queries work
-    unchanged; only the memory behaviour differs.
+    Primary inputs stay resident; every other net holds only a ``(level
+    record key, row, corner)`` pointer and materializes on access through
+    the engine's hot-level LRU — a zero-copy memmap view when the level has
+    to come back from the packed store.  The mapping quacks like the
+    resident result's dict (iteration, ``in``, ``len``, indexing), so
+    reports, deviation checks and arrival queries work unchanged; only the
+    memory behaviour differs.
     """
 
     def __init__(
@@ -288,6 +291,20 @@ class _SpilledWaveforms(AbstractMapping):
         return net in self._resident or net in self._pointers
 
 
+@dataclass
+class _CornerView:
+    """What one corner contributes to a level walk.
+
+    ``name`` is ``None`` for a plain single-corner run (the design's own
+    library and models) and the corner name in an MMMC run.  ``context`` is
+    the digest every propagation key of that corner shares."""
+
+    name: Optional[str]
+    models: TimingModelLibrary
+    library: Any  # CellLibrary
+    context: str
+
+
 # ----------------------------------------------------------------------
 # The engine interface
 # ----------------------------------------------------------------------
@@ -316,10 +333,10 @@ class TimingEngine:
         self._structure_revision = netlist.revision
         self._structure_identity = id(netlist)
         self._library_identity = id(netlist.library)
-        self._cell_digests: Dict[str, str] = {}
-        self._corner_cell_digests: Dict[Tuple[str, str], str] = {}
-        #: Cache key of the last multi-corner full-run entry (None before the
-        #: first cached multi-corner run; handy for targeted eviction).
+        #: (corner name or None, cell name) -> cell fingerprint digest.
+        self._cell_digests: Dict[Tuple[Optional[str], str], str] = {}
+        #: Cache key of the last whole-run entry (None before the first
+        #: cached run; handy for targeted eviction).
         self.last_run_key: Optional[str] = None
         self._netlist_digest_cache: Optional[Tuple[int, str]] = None
         #: Serializes :meth:`run` so one engine instance can be shared by
@@ -395,28 +412,59 @@ class TimingEngine:
         """Hook for subclasses holding library-derived state (e.g. vdd)."""
 
     # -- content fingerprints shared by both engines's caches -----------
-    def _cell_digest(self, cell_name: str) -> str:
-        if cell_name not in self._cell_digests:
-            from ..runtime.jobs import cell_fingerprint
-
-            self._cell_digests[cell_name] = content_hash(
-                "sta-cell", cell_fingerprint(self.netlist.library[cell_name])
-            )
-        return self._cell_digests[cell_name]
-
-    def _corner_cell_digest(self, corner_context: CornerContext, cell_name: str) -> str:
-        """Per-corner cell fingerprint (the corner library's cell differs
-        from the design library's even though the cell *name* matches)."""
-        key = (corner_context.name, cell_name)
-        digest = self._corner_cell_digests.get(key)
+    def _cell_digest(self, view: _CornerView, cell_name: str) -> str:
+        """Cell fingerprint against the view's library (a corner library's
+        cell differs from the design library's even though the name
+        matches)."""
+        key = (view.name, cell_name)
+        digest = self._cell_digests.get(key)
         if digest is None:
-            from ..runtime.jobs import cell_fingerprint
-
-            digest = content_hash(
-                "sta-cell", cell_fingerprint(corner_context.library[cell_name])
-            )
-            self._corner_cell_digests[key] = digest
+            digest = content_hash("sta-cell", cell_fingerprint(view.library[cell_name]))
+            self._cell_digests[key] = digest
         return digest
+
+    def _corner_views(
+        self, base_context: Callable[[TimingModelLibrary], str], prefix: str
+    ) -> List[_CornerView]:
+        """The run's corner axis: one view of the bound design, or one per
+        MMMC corner whose context digest adds the corner's identity
+        (``<prefix>-context-mmmc``), so per-corner keys never collide."""
+        if self.corners is None:
+            return [
+                _CornerView(None, self.models, self.netlist.library, base_context(self.models))
+            ]
+        return [
+            _CornerView(
+                cc.name,
+                cc.models,
+                cc.library,
+                content_hash(
+                    f"{prefix}-context-mmmc", base_context(cc.models), cc.name, cc.corner
+                ),
+            )
+            for cc in self.corners
+        ]
+
+    def _run_key(
+        self,
+        prefix: str,
+        views: Sequence[_CornerView],
+        seed_keys: Mapping[str, str],
+        only: Optional[Set[str]] = None,
+    ) -> str:
+        """Whole-run cache key: ``<prefix>-run`` for one view,
+        ``<prefix>-run-mmmc`` over the corner contexts, and a separate
+        ``-restricted`` namespace (so a partial result is never served to a
+        full run)."""
+        if self.corners is None:
+            tag, context = f"{prefix}-run", views[0].context
+        else:
+            tag, context = f"{prefix}-run-mmmc", [view.context for view in views]
+        parts = [context, self._netlist_digest(), sorted(seed_keys.items())]
+        if only is not None:
+            tag += "-restricted"
+            parts.append(sorted(only))
+        return content_hash(tag, *parts)
 
     def _netlist_digest(self) -> str:
         self._sync_structure()
@@ -455,29 +503,20 @@ class TimingEngine:
     def _output_net(self, instance: GateInstance) -> str:
         return instance.connections[self._cell(instance).output]
 
-    def _lumped_output_load(self, instance: GateInstance) -> float:
-        """Scalar load: receiver input capacitances plus wire capacitance."""
-        return self._lumped_output_load_for(instance, self.models)
-
-    def _lumped_output_load_for(
+    def _lumped_output_load(
         self, instance: GateInstance, models: TimingModelLibrary
     ) -> float:
-        """Scalar load against an explicit model library (MMMC corners
-        characterize their own receiver capacitances)."""
+        """Scalar load: receiver input capacitances (against the given
+        model library — MMMC corners characterize their own) plus wire
+        capacitance."""
         output_net = self._output_net(instance)
         load = self.netlist.net_wire_capacitance.get(output_net, 0.0)
         for receiver, pin in self.connectivity.receivers_of(output_net):
             load += models.receiver_input_capacitance(receiver.cell_name, pin)
         return load
 
-    def _output_load(self, instance: GateInstance) -> Load:
+    def _output_load(self, instance: GateInstance, models: TimingModelLibrary) -> Load:
         """Structured load for the waveform engine (receiver caps + wire)."""
-        return self._output_load_for(instance, self.models)
-
-    def _output_load_for(
-        self, instance: GateInstance, models: TimingModelLibrary
-    ) -> Load:
-        """Structured load against an explicit model library."""
         output_net = self._output_net(instance)
         receiver_caps = [
             models.receiver_input_capacitance(receiver.cell_name, pin)
@@ -490,15 +529,22 @@ class TimingEngine:
             return CapacitiveLoad(1e-15)
         return ReceiverLoad(receiver_caps=receiver_caps, wire_capacitance=wire)
 
-    @staticmethod
-    def _aggregate_stats(
-        per_stats: Dict[str, PropagationStats], order: List[str]
-    ) -> PropagationStats:
-        """Fold per-corner accounting into one run-level record; the run is
-        a full hit only when *every* corner was served from the run cache."""
+    def _stamp_stats(self, value, per_stats: Sequence[PropagationStats]):
+        """Attach per-corner accounting to a (single- or multi-corner)
+        result and fold it into :attr:`last_stats`; an MMMC run is a full
+        hit only when *every* corner was served from the run cache."""
+        if self.corners is None:
+            value.stats = per_stats[0].as_dict()
+            self.last_stats = per_stats[0]
+            return value
+        names = self.corners.names
+        for name, stats in zip(names, per_stats):
+            result = value.results.get(name)
+            if result is not None:
+                result.stats = stats.as_dict()
+        value.stats = {name: stats.as_dict() for name, stats in zip(names, per_stats)}
         total = PropagationStats()
-        for name in order:
-            stats = per_stats[name]
+        for stats in per_stats:
             total.instances += stats.instances
             total.integrations += stats.integrations
             total.memo_hits += stats.memo_hits
@@ -507,8 +553,19 @@ class TimingEngine:
             total.stores += stats.stores
             total.spills += stats.spills
             total.faults += stats.faults
-        total.full_run_hit = all(per_stats[name].full_run_hit for name in order)
-        return total
+        total.full_run_hit = all(stats.full_run_hit for stats in per_stats)
+        self.last_stats = total
+        return value
+
+    def _cached_run(self, run_key: str, per_stats: Sequence[PropagationStats]):
+        """Serve a whole-run cache entry (``None`` on a miss)."""
+        self.last_run_key = run_key
+        hit, value = self.cache.lookup(run_key)
+        if not hit:
+            return None
+        for stats in per_stats:
+            stats.full_run_hit = True
+        return self._stamp_stats(value, per_stats)
 
     def run(self, *args, **kwargs):
         """Run the engine (thread-safe: concurrent calls serialize).
@@ -618,7 +675,6 @@ class NLDMEngine(TimingEngine):
         use_cache: bool = True,
         corners: Optional[CornerSet] = None,
         memory_mode: str = "resident",
-        memory_budget_bytes: Optional[int] = None,
     ):
         super().__init__(netlist, models, corners=corners)
         self.cache = cache if cache is not None else models.cache
@@ -629,19 +685,17 @@ class NLDMEngine(TimingEngine):
         #: memo, no whole-run entry) — events are tiny, so this mostly buys
         #: uniform semantics with the CSM engine's streaming mode.
         self.memory_mode = memory_mode
-        self.memory_budget_bytes = memory_budget_bytes
         #: key -> (event fields tuple | None, MIS pin pairs); content-addressed,
         #: so it survives netlist edits just like the CSM waveform memo.
         self._memo: Dict[str, Tuple[Optional[Tuple[float, float, bool]], List[Tuple[str, str]]]] = {}
 
-    def _context_digest(self) -> str:
-        """Everything every NLDM propagation key shares for one run: the
+    @staticmethod
+    def _context_digest(models: TimingModelLibrary) -> str:
+        """Everything every NLDM propagation key of one corner shares: the
         characterized table axes.  (The characterization config shapes CSM
         models, not the NLDM tables, so it does not participate; receiver
         input capacitances participate through each key's load value.)"""
-        return content_hash(
-            "nldm-context", self.models.nldm_input_slews, self.models.nldm_loads
-        )
+        return content_hash("nldm-context", models.nldm_input_slews, models.nldm_loads)
 
     @staticmethod
     def stimulus_keys(input_events: Mapping[str, TimingEvent]) -> Dict[str, str]:
@@ -679,10 +733,14 @@ class NLDMEngine(TimingEngine):
                 return cached
         return None
 
-    def _run_impl(
-        self, input_events: Dict[str, TimingEvent]
-    ) -> NLDMTimingResult:
+    def _run_impl(self, input_events: Dict[str, TimingEvent]):
         """Propagate events from the primary inputs to every net.
+
+        One level walk serves every corner of the run: the structural work
+        (levelization, pin-net maps) is shared while per-corner model
+        lookups, propagation keys and events stay fully separate.  Returns a
+        :class:`NLDMTimingResult`, or a :class:`MulticornerNLDMResult` when
+        the engine is bound to a corner set.
 
         Parameters
         ----------
@@ -693,243 +751,78 @@ class NLDMEngine(TimingEngine):
         for net in input_events:
             if net not in self.netlist.primary_inputs:
                 raise TimingError(f"{net!r} is not a primary input of {self.netlist.name!r}")
-        if self.corners is not None:
-            if self.memory_mode == "stream":
-                raise TimingError(
-                    "memory_mode='stream' does not support multi-corner runs; "
-                    "propagate corners one engine at a time"
-                )
-            return self._run_multicorner(input_events)
-
         levels = self.levels()  # also re-syncs structural caches after edits
-        stats = PropagationStats(instances=len(self.netlist.instances))
+        views = self._corner_views(self._context_digest, "nldm")
+        per_stats = [PropagationStats(instances=len(self.netlist.instances)) for _ in views]
         caching = self.use_cache
         streaming = self.memory_mode == "stream"
-        net_keys: Dict[str, str] = {}
-        context = ""
+        net_keys: List[Dict[str, str]] = [{} for _ in views]
         run_key: Optional[str] = None
         if caching:
-            net_keys = self.stimulus_keys(input_events)
-            context = self._context_digest()
+            stimuli = self.stimulus_keys(input_events)
+            net_keys = [dict(stimuli) for _ in views]
             # Streaming skips the whole-run entry both ways: looking one up
             # would materialize every event at once, and storing one would
             # let a later resident run be served by a streaming run (the
             # per-instance entries are shared — and identical — either way).
             if self.cache is not None and not streaming:
-                run_key = content_hash(
-                    "nldm-run", context, self._netlist_digest(), sorted(net_keys.items())
-                )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    stats.full_run_hit = True
-                    value.stats = stats.as_dict()
-                    self.last_stats = stats
-                    return value
+                run_key = self._run_key("nldm", views, stimuli)
+                cached = self._cached_run(run_key, per_stats)
+                if cached is not None:
+                    return cached
 
         # Characterize every receiver pin's SIS model up front, exactly like
         # the waveform engine: load construction then always uses
         # characterized input capacitances, so per-instance propagation keys
         # (which embed the lumped load) never depend on which models some
         # earlier run happened to characterize.
-        self.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
+        for view in views:
+            view.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
 
-        events: Dict[str, TimingEvent] = dict(input_events)
-        mis_flags: Dict[str, List[Tuple[str, str]]] = {}
-
-        for level in levels:
-            for instance in level:
-                cell = self._cell(instance)
-                output_net = instance.connections[cell.output]
-                load = self._lumped_output_load(instance)
-                pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
-
-                key: Optional[str] = None
-                if caching:
-                    inputs = [
-                        (pin, net_keys.get(pin_nets[pin], "stable"))
-                        for pin in cell.inputs
-                    ]
-                    key = content_hash(
-                        "nldm-propagation",
-                        context,
-                        self._cell_digest(instance.cell_name),
-                        load,
-                        inputs,
-                    )
-                    net_keys[output_net] = key
-                    cached = self._lookup_event(key, stats)
-                    if cached is not None:
-                        fields, pairs = cached
-                        mis_flags[instance.name] = list(pairs)
-                        if fields is not None:
-                            arrival, slew, rising = fields
-                            events[output_net] = TimingEvent(
-                                net=output_net, arrival=arrival, slew=slew, rising=rising
-                            )
-                        continue
-
-                mis_flags[instance.name] = detect_mis_pairs(events, cell.inputs, pin_nets)
-
-                candidate: Optional[TimingEvent] = None
-                for pin in cell.inputs:
-                    net = pin_nets[pin]
-                    if net not in events:
-                        continue
-                    event = events[net]
-                    table = self.models.nldm_table(
-                        instance.cell_name, pin, input_rise=event.rising
-                    )
-                    delay = table.delay(event.slew, load)
-                    output_slew = table.output_slew(event.slew, load)
-                    output_event = TimingEvent(
-                        net=output_net,
-                        arrival=event.arrival + delay,
-                        slew=output_slew,
-                        rising=table.output_rise,
-                    )
-                    if candidate is None or output_event.arrival > candidate.arrival:
-                        candidate = output_event
-                stats.integrations += 1
-                if candidate is not None:
-                    events[output_net] = candidate
-
-                if key is not None:
-                    fields = (
-                        (candidate.arrival, candidate.slew, candidate.rising)
-                        if candidate is not None
-                        else None
-                    )
-                    if streaming:
-                        stats.spills += 1  # the store is the only copy
-                    else:
-                        self._memo[key] = (fields, mis_flags[instance.name])
-                    if self.cache is not None:
-                        self.cache.store(
-                            key,
-                            {"event": fields, "mis": mis_flags[instance.name]},
-                        )
-                        stats.stores += 1
-
-        result = NLDMTimingResult(
-            events=events,
-            mis_flags=mis_flags,
-            netlist_name=self.netlist.name,
-            stats=stats.as_dict(),
-        )
-        if run_key is not None:
-            self.cache.store(run_key, result)
-        self.last_stats = stats
-        return result
-
-    def _run_multicorner(
-        self, input_events: Dict[str, TimingEvent]
-    ) -> MulticornerNLDMResult:
-        """One level walk, all corners: the structural work (levelization,
-        pin-net maps, MIS detection inputs) is shared while per-corner model
-        lookups, propagation keys and events stay fully separate.  Every key
-        embeds the corner's context digest AND the corner library's cell
-        fingerprint, so per-corner cache entries can never collide."""
-        corners = self.corners
-        order = corners.names
-        levels = self.levels()
-        per_stats = {
-            name: PropagationStats(instances=len(self.netlist.instances))
-            for name in order
-        }
-        caching = self.use_cache
-        net_keys: Dict[str, Dict[str, str]] = {name: {} for name in order}
-        contexts: Dict[str, str] = {name: "" for name in order}
-        run_key: Optional[str] = None
-        if caching:
-            stimuli = self.stimulus_keys(input_events)
-            for cc in corners:
-                base = content_hash(
-                    "nldm-context", cc.models.nldm_input_slews, cc.models.nldm_loads
-                )
-                contexts[cc.name] = content_hash(
-                    "nldm-context-mmmc", base, cc.name, cc.corner
-                )
-                net_keys[cc.name] = dict(stimuli)
-            if self.cache is not None:
-                run_key = content_hash(
-                    "nldm-run-mmmc",
-                    [contexts[name] for name in order],
-                    self._netlist_digest(),
-                    sorted(stimuli.items()),
-                )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    for name in order:
-                        per_stats[name].full_run_hit = True
-                        result = value.results.get(name)
-                        if result is not None:
-                            result.stats = per_stats[name].as_dict()
-                    value.stats = {name: per_stats[name].as_dict() for name in order}
-                    self.last_stats = self._aggregate_stats(per_stats, order)
-                    return value
-
-        for cc in corners:
-            cc.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
-
-        events: Dict[str, Dict[str, TimingEvent]] = {
-            name: dict(input_events) for name in order
-        }
-        mis_flags: Dict[str, Dict[str, List[Tuple[str, str]]]] = {
-            name: {} for name in order
-        }
+        events: List[Dict[str, TimingEvent]] = [dict(input_events) for _ in views]
+        mis_flags: List[Dict[str, List[Tuple[str, str]]]] = [{} for _ in views]
 
         for level in levels:
             for instance in level:
                 cell = self._cell(instance)
                 output_net = instance.connections[cell.output]
                 pin_nets = {pin: instance.connections[pin] for pin in cell.inputs}
-                for cc in corners:
-                    name = cc.name
-                    stats = per_stats[name]
-                    corner_events = events[name]
-                    load = self._lumped_output_load_for(instance, cc.models)
-
+                for view, stats, keys, corner_events, flags in zip(
+                    views, per_stats, net_keys, events, mis_flags
+                ):
+                    load = self._lumped_output_load(instance, view.models)
                     key: Optional[str] = None
                     if caching:
                         inputs = [
-                            (pin, net_keys[name].get(pin_nets[pin], "stable"))
-                            for pin in cell.inputs
+                            (pin, keys.get(pin_nets[pin], "stable")) for pin in cell.inputs
                         ]
                         key = content_hash(
                             "nldm-propagation",
-                            contexts[name],
-                            self._corner_cell_digest(cc, instance.cell_name),
+                            view.context,
+                            self._cell_digest(view, instance.cell_name),
                             load,
                             inputs,
                         )
-                        net_keys[name][output_net] = key
+                        keys[output_net] = key
                         cached = self._lookup_event(key, stats)
                         if cached is not None:
                             fields, pairs = cached
-                            mis_flags[name][instance.name] = list(pairs)
+                            flags[instance.name] = list(pairs)
                             if fields is not None:
                                 arrival, slew, rising = fields
                                 corner_events[output_net] = TimingEvent(
-                                    net=output_net,
-                                    arrival=arrival,
-                                    slew=slew,
-                                    rising=rising,
+                                    net=output_net, arrival=arrival, slew=slew, rising=rising
                                 )
                             continue
 
-                    mis_flags[name][instance.name] = detect_mis_pairs(
-                        corner_events, cell.inputs, pin_nets
-                    )
-
+                    flags[instance.name] = detect_mis_pairs(corner_events, cell.inputs, pin_nets)
                     candidate: Optional[TimingEvent] = None
                     for pin in cell.inputs:
                         net = pin_nets[pin]
                         if net not in corner_events:
                             continue
                         event = corner_events[net]
-                        table = cc.models.nldm_table(
+                        table = view.models.nldm_table(
                             instance.cell_name, pin, input_rise=event.rising
                         )
                         delay = table.delay(event.slew, load)
@@ -952,44 +845,47 @@ class NLDMEngine(TimingEngine):
                             if candidate is not None
                             else None
                         )
-                        self._memo[key] = (fields, mis_flags[name][instance.name])
+                        if streaming:
+                            stats.spills += 1  # the store is the only copy
+                        else:
+                            self._memo[key] = (fields, flags[instance.name])
                         if self.cache is not None:
-                            self.cache.store(
-                                key,
-                                {"event": fields, "mis": mis_flags[name][instance.name]},
-                            )
+                            self.cache.store(key, {"event": fields, "mis": flags[instance.name]})
                             stats.stores += 1
 
-        results = {
-            name: NLDMTimingResult(
-                events=events[name],
-                mis_flags=mis_flags[name],
-                netlist_name=self.netlist.name,
-                stats=per_stats[name].as_dict(),
+        results = [
+            NLDMTimingResult(
+                events=corner_events, mis_flags=flags, netlist_name=self.netlist.name
             )
-            for name in order
-        }
-        merged = MulticornerNLDMResult(
-            results=results,
-            corner_order=list(order),
-            netlist_name=self.netlist.name,
-            stats={name: per_stats[name].as_dict() for name in order},
-        )
+            for corner_events, flags in zip(events, mis_flags)
+        ]
+        if self.corners is None:
+            merged = results[0]
+        else:
+            merged = MulticornerNLDMResult(
+                results=dict(zip(self.corners.names, results)),
+                corner_order=list(self.corners.names),
+                netlist_name=self.netlist.name,
+            )
+        self._stamp_stats(merged, per_stats)
         if run_key is not None:
             self.cache.store(run_key, merged)
-        self.last_stats = self._aggregate_stats(per_stats, order)
         return merged
 
 
 # ----------------------------------------------------------------------
-# CSM: waveform propagation, batched per level
+# CSM: waveform propagation, one tensor level loop
 # ----------------------------------------------------------------------
-@dataclass
-class _StructuralPlan:
-    """Model-free description of one instance evaluation.
+#: Streaming pointer of a spilled net: (level record key, row, corner).
+_Pointer = Tuple[str, int, int]
 
-    Everything here is derived from the netlist structure, the already
-    propagated input waveforms and the characterization *configuration* —
+
+@dataclass
+class _Plan:
+    """Model-free description of one instance evaluation at one corner.
+
+    Everything here is derived from the netlist structure, the per-net
+    switching classification and the characterization *configuration* —
     never from a characterized model — so computing it (and the propagation
     ``key``) stays cheap on cache hits.
     """
@@ -1000,27 +896,15 @@ class _StructuralPlan:
     mis: bool
     label: str
     load: Load
-    pin_waves: Dict[str, Waveform]
     key: Optional[str] = None
 
 
 @dataclass
-class _TensorPlan:
-    """Model-free description of one instance on the tensor path.
+class _StructuralPlan(_Plan):
+    """A :class:`_Plan` of the per-instance reference path, which carries
+    its pins' :class:`Waveform` objects instead of sample rows."""
 
-    The structure-of-arrays twin of :class:`_StructuralPlan`: switching
-    classification and the propagation key are computed from the level
-    tensors' sample rows, so no per-pin :class:`Waveform` objects are
-    materialized on the hot path.
-    """
-
-    instance: GateInstance
-    output_net: str
-    pins: Tuple[str, ...]
-    mis: bool
-    label: str
-    load: Load
-    key: Optional[str] = None
+    pin_waves: Dict[str, Waveform] = field(default_factory=dict)
 
 
 @dataclass
@@ -1048,17 +932,70 @@ class _InstancePlan:
         return dict(model.miller_caps)
 
 
+@dataclass
+class _CornerRun:
+    """One corner's propagation state through a level walk."""
+
+    view: _CornerView
+    stats: PropagationStats
+    net_keys: Dict[str, str] = field(default_factory=dict)
+    model_used: Dict[str, str] = field(default_factory=dict)
+    #: Sample rows (on the run grid) of every live net; streaming retires
+    #: a row once its last reader level consumed it.
+    rows: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Per-net initial value and switching class — a few bytes per net that
+    #: never retire, which keeps propagation keys identical across memory
+    #: policies.
+    initials: Dict[str, float] = field(default_factory=dict)
+    switching: Dict[str, bool] = field(default_factory=dict)
+    #: Materialized result waveforms (streaming: primary inputs only).
+    waveforms: Dict[str, Waveform] = field(default_factory=dict)
+    #: Streaming: every produced net's spilled level row.
+    pointers: Dict[str, _Pointer] = field(default_factory=dict)
+
+
+def _decode_pointer(value: object) -> Optional[_Pointer]:
+    """``{"t": "level-row", "level": <key>, "row": <r>[, "corner": <c>]}``
+    -> ``(level, row, corner)``; anything else is ``None``.  Single-corner
+    pointers omit the corner (column 0)."""
+    if not (isinstance(value, dict) and value.get("t") == "level-row"):
+        return None
+    level_key, row, corner = value.get("level"), value.get("row"), value.get("corner", 0)
+    if not (isinstance(level_key, str) and isinstance(row, int) and isinstance(corner, int)):
+        return None
+    return level_key, row, corner
+
+
+def _tensor_row(
+    tensor: Optional[LevelTensor], row: int, corner: int, times: np.ndarray
+) -> Optional[np.ndarray]:
+    """A level tensor's sample row, or ``None`` when the tensor is missing
+    or does not match the pointer and the run grid."""
+    if (
+        tensor is None
+        or tensor.num_samples != len(times)
+        or not 0 <= row < tensor.num_rows
+        or not 0 <= corner < tensor.num_corners
+    ):
+        return None
+    return tensor.row_values(row, corner)
+
+
 class CSMEngine(TimingEngine):
     """Propagates waveforms through a gate netlist using CSM models.
 
     Parameters
     ----------
     batched:
-        When true (default) every level's instances are integrated in
-        lockstep (settle pass, then the main window) through
-        :func:`~repro.csm.simulate.integrate_model_many`.  When false each
-        instance runs through ``model.simulate`` individually — the reference
-        path the batched engine is asserted bit-equal against.
+        When true (default) each level is one ``(instances, corners,
+        samples)`` :class:`LevelTensor`: instances gather their input rows by
+        index, every level is settled and integrated in lockstep through
+        :func:`~repro.csm.simulate.integrate_model_many` (table lookups
+        shared across instances of the same model), and the propagation
+        cache spills the level as a single record whose per-instance entries
+        are row pointers into it.  When false each instance runs through
+        ``model.simulate`` individually — the reference path the tensor loop
+        is tested against.
     cache:
         Content-addressed disk cache for per-instance output waveforms and
         whole-run results; defaults to the model library's cache.  Every
@@ -1069,17 +1006,20 @@ class CSMEngine(TimingEngine):
     use_cache:
         Disable all propagation fingerprinting/memoization (the pre-PR4
         always-integrate behaviour) when false.
-    tensor:
-        When true (default) the batched path carries each level as one flat
-        ``(instances, corners, samples)`` :class:`LevelTensor` — per-net
-        sample rows gathered by index instead of per-instance ``Waveform``
-        regrouping — with the per-level table lookups additionally batched
-        across instances of the same model, and the propagation cache spills
-        each level as a single record (per-instance entries become row
-        pointers into it).  The produced waveforms are **bitwise** those of
-        the plain batched path (the shared lookups are per-row operations),
-        so both share the ``"batched"`` cache namespace.  Ignored when
-        ``batched`` is false.
+    corners:
+        Optional MMMC corner set: the level loop then carries one corner
+        axis entry per corner and :meth:`run` returns a
+        :class:`MulticornerTimingResult`.
+    corner_workers:
+        Threads for a multi-corner level evaluation (one corner per task).
+        ``None`` resolves to ``min(corner count, visible CPUs)``; one worker
+        runs the fused single-stack pass over every corner.
+    memory_mode / memory_budget_bytes:
+        ``"resident"`` (default) keeps every propagated waveform in RAM;
+        ``"stream"`` retires each level's sample rows to the store once
+        their last reader level consumed them, keeping only a pinned LRU of
+        hot level tensors bounded by ``memory_budget_bytes`` (``None``:
+        unbounded).
     """
 
     def __init__(
@@ -1090,7 +1030,6 @@ class CSMEngine(TimingEngine):
         batched: bool = True,
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
-        tensor: bool = True,
         corners: Optional[CornerSet] = None,
         corner_workers: Optional[int] = None,
         memory_mode: str = "resident",
@@ -1099,11 +1038,6 @@ class CSMEngine(TimingEngine):
         super().__init__(netlist, models, corners=corners)
         self.options = options or SimulationOptions()
         self.batched = batched
-        self.tensor = tensor
-        #: Thread count for per-corner level evaluation.  ``None`` resolves
-        #: to ``min(corner count, visible CPUs)`` at each level, so a
-        #: single-core box (or a single-corner run) keeps the fused
-        #: single-stack pass with zero thread overhead.
         self.corner_workers = corner_workers
         self.vdd = netlist.library.technology.vdd
         self.cache = cache if cache is not None else models.cache
@@ -1116,31 +1050,13 @@ class CSMEngine(TimingEngine):
         #: Level-record key -> decoded LevelTensor; content-addressed like
         #: the waveform memo, so it too survives netlist edits.
         self._level_tensors: Dict[str, LevelTensor] = {}
-        #: Instance name -> structured output load; purely structural, so it
-        #: is dropped whenever the netlist revision changes.
-        self._load_cache: Dict[str, Load] = {}
-        #: (corner name, instance name) -> structured output load against the
-        #: corner's characterized receiver capacitances.
-        self._corner_load_cache: Dict[Tuple[str, str], Load] = {}
+        #: (corner name or None, instance name) -> structured output load;
+        #: purely structural, so it is dropped whenever the netlist changes.
+        self._load_cache: Dict[Tuple[Optional[str], str], Load] = {}
         _validate_memory_mode(memory_mode, use_cache, self.cache)
-        if memory_mode == "stream":
-            if not (self.batched and self.tensor):
-                raise TimingError(
-                    "memory_mode='stream' requires the batched tensor path "
-                    "(batched=True, tensor=True)"
-                )
-            if corners is not None:
-                raise TimingError(
-                    "memory_mode='stream' does not support multi-corner runs; "
-                    "propagate corners one engine at a time"
-                )
-        #: ``"resident"`` (default) keeps every propagated waveform in RAM;
-        #: ``"stream"`` retires each level's sample rows to the packed store
-        #: once their last reader level consumed them, keeping only a pinned
-        #: LRU of hot level tensors bounded by :attr:`memory_budget_bytes`.
+        if memory_mode == "stream" and not batched:
+            raise TimingError("memory_mode='stream' requires the batched tensor path")
         self.memory_mode = memory_mode
-        #: Soft cap (bytes) on the hot level-tensor LRU in streaming mode;
-        #: ``None`` keeps every tensor of the active frontier hot.
         self.memory_budget_bytes = memory_budget_bytes
         #: Streaming hot set: level record key -> (tensor, nbytes), oldest
         #: first (an OrderedDict used as an LRU).
@@ -1150,7 +1066,7 @@ class CSMEngine(TimingEngine):
         #: or compacted away while a run's views may still reference them).
         self._stream_pins: Set[str] = set()
         if corners is not None:
-            if not (self.batched and self.tensor):
+            if not batched:
                 raise TimingError(
                     "multi-corner propagation requires the batched tensor path"
                 )
@@ -1164,7 +1080,6 @@ class CSMEngine(TimingEngine):
 
     def _on_structure_change(self) -> None:
         self._load_cache = {}
-        self._corner_load_cache = {}
 
     def _on_library_change(self) -> None:
         self.vdd = self.netlist.library.technology.vdd
@@ -1214,7 +1129,7 @@ class CSMEngine(TimingEngine):
         t_start: Optional[float] = None,
         only: Optional[Iterable[str]] = None,
         boundary_waveforms: Optional[Dict[str, Waveform]] = None,
-    ) -> WaveformTimingResult:
+    ):
         """Propagate waveforms from the primary inputs through the design.
 
         With caching enabled (the default) every instance consults the
@@ -1222,7 +1137,9 @@ class CSMEngine(TimingEngine):
         integrating, and the completed result is stored under a whole-run key
         — so an unchanged repeat is a no-op and a run after a netlist edit
         re-integrates only the edit's fan-out cone.  ``result.stats`` (and
-        :attr:`last_stats`) record the hit/integration accounting.
+        :attr:`last_stats`) record the hit/integration accounting.  Returns a
+        :class:`WaveformTimingResult`, or a :class:`MulticornerTimingResult`
+        when the engine is bound to a corner set.
 
         Parameters
         ----------
@@ -1235,11 +1152,10 @@ class CSMEngine(TimingEngine):
             Restrict propagation to these instance names (the hybrid engine's
             critical cones).  Loads, grids and stimuli are those of the FULL
             design, so every in-cone instance whose whole fan-in is in the
-            cone gets the *same* propagation key — and therefore the same
-            bitwise waveform — as a full run.  Requires the batched tensor
-            path, a single corner and resident memory.  A cone covering every
-            instance is normalized back to an unrestricted run so even the
-            whole-run cache entry is shared.
+            cone gets the *same* propagation key as a full run.  Requires the
+            batched path.  A cone covering every instance is normalized back
+            to an unrestricted run so even the whole-run cache entry is
+            shared.
         boundary_waveforms:
             Net name -> stimulus for nets driven *outside* a truncated cone
             (only valid together with ``only``).  Boundary nets chain their
@@ -1256,17 +1172,9 @@ class CSMEngine(TimingEngine):
         if boundary_waveforms and only is None:
             raise TimingError("boundary_waveforms requires a restricted cone (only=)")
         if only is not None:
-            if self.corners is not None:
-                raise TimingError(
-                    "restricted propagation (only=) does not support multi-corner runs"
-                )
-            if not (self.batched and self.tensor):
+            if not self.batched:
                 raise TimingError(
                     "restricted propagation (only=) requires the batched tensor path"
-                )
-            if self.memory_mode == "stream":
-                raise TimingError(
-                    "restricted propagation (only=) requires memory_mode='resident'"
                 )
             names = set(self.netlist.instances)
             only = set(only)
@@ -1283,741 +1191,484 @@ class CSMEngine(TimingEngine):
                 )
             if only == names and not boundary_waveforms:
                 only = None  # full cover IS a plain run: share its run key
-        if self.corners is not None:
-            return self._run_multicorner(input_waveforms, t_stop, t_start)
 
         levels = self.levels()  # also re-syncs structural caches after edits
-        stats = PropagationStats(
-            instances=len(only) if only is not None else len(self.netlist.instances)
-        )
+        views = self._corner_views(lambda _models: self._context_digest(t_start, t_stop), "sta")
+        instances = len(only) if only is not None else len(self.netlist.instances)
+        runs = [_CornerRun(view, PropagationStats(instances=instances)) for view in views]
+        per_stats = [run.stats for run in runs]
         caching = self.use_cache
         streaming = self.memory_mode == "stream"
-        net_keys: Dict[str, str] = {}
-        context = ""
         run_key: Optional[str] = None
         if caching:
-            net_keys = self.stimulus_keys(input_waveforms)
-            if boundary_waveforms:
-                net_keys.update(self.stimulus_keys(boundary_waveforms))
-            context = self._context_digest(t_start, t_stop)
+            seed_keys = self.stimulus_keys(input_waveforms)
+            seed_keys.update(self.stimulus_keys(boundary_waveforms))
+            for run in runs:
+                run.net_keys = dict(seed_keys)
             # Streaming skips the whole-run entry both ways: looking one up
             # would materialize every waveform at once, and storing one would
             # let a later resident run skip re-populating its memo.  The
             # per-instance propagation keys are identical in both modes, so
             # the run entry is the only namespace difference.
             if self.cache is not None and not streaming:
-                if only is not None:
-                    # Restricted runs get their own whole-run namespace: a
-                    # partial result must never be served to a full run.
-                    run_key = content_hash(
-                        "sta-run-restricted",
-                        context,
-                        self._netlist_digest(),
-                        sorted(net_keys.items()),
-                        sorted(only),
-                    )
-                else:
-                    run_key = content_hash(
-                        "sta-run", context, self._netlist_digest(), sorted(net_keys.items())
-                    )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    stats.full_run_hit = True
-                    value.stats = stats.as_dict()
-                    self.last_stats = stats
-                    return value
+                run_key = self._run_key("sta", views, seed_keys, only)
+                cached = self._cached_run(run_key, per_stats)
+                if cached is not None:
+                    return cached
 
         # Characterize the SIS models of every receiver pin up front (one
         # cache-aware parallel job set).  Loads then always use characterized
         # input capacitances, identically for the batched and sequential
         # paths and independent of instance evaluation order.
-        self.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
+        for view in views:
+            view.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
 
-        model_used: Dict[str, str] = {}
-
-        if streaming:
-            stream_waveforms = self._propagate_tensor_stream(
-                levels,
-                input_waveforms,
-                model_used,
-                stats,
-                t_start,
-                t_stop,
-                context,
-                net_keys,
-            )
-            result = WaveformTimingResult(
-                waveforms=stream_waveforms,
-                model_used=model_used,
-                netlist_name=self.netlist.name,
-                vdd=self.vdd,
-                stats=stats.as_dict(),
-            )
-            self.last_stats = stats
-            return result
-
-        waveforms: Dict[str, Waveform] = {
-            net: wave.renamed(net) for net, wave in input_waveforms.items()
-        }
-
-        if self.batched and self.tensor:
-            self._propagate_tensor(
-                levels,
-                input_waveforms,
-                waveforms,
-                model_used,
-                stats,
-                t_start,
-                t_stop,
-                context,
-                net_keys,
-                caching,
-                only=only,
-                boundary_waveforms=boundary_waveforms,
+        inputs = {net: wave.renamed(net) for net, wave in input_waveforms.items()}
+        for run in runs:
+            run.waveforms = dict(inputs)
+        if self.batched:
+            waveforms = self._propagate(
+                levels, runs, input_waveforms, boundary_waveforms, only,
+                t_start, t_stop, caching, streaming,
             )
         else:
-            self._propagate_waveforms(
-                levels, waveforms, model_used, stats, t_start, t_stop, context, net_keys, caching
+            self._propagate_waveforms(levels, runs[0], t_start, t_stop, caching)
+            waveforms = [runs[0].waveforms]
+
+        results = [
+            WaveformTimingResult(
+                waveforms=corner_waveforms,
+                model_used=run.model_used,
+                netlist_name=self.netlist.name,
+                vdd=self.vdd,
             )
-
-        result = WaveformTimingResult(
-            waveforms=waveforms,
-            model_used=model_used,
-            netlist_name=self.netlist.name,
-            vdd=self.vdd,
-            stats=stats.as_dict(),
-        )
+            for run, corner_waveforms in zip(runs, waveforms)
+        ]
+        if self.corners is None:
+            merged = results[0]
+        else:
+            merged = MulticornerTimingResult(
+                results=dict(zip(self.corners.names, results)),
+                corner_order=list(self.corners.names),
+                netlist_name=self.netlist.name,
+                vdd=self.vdd,
+            )
+        self._stamp_stats(merged, per_stats)
         if run_key is not None:
-            self.cache.store(run_key, result)
-        self.last_stats = stats
-        return result
+            self.cache.store(run_key, merged)
+        return merged
 
     # ------------------------------------------------------------------
-    def _propagate_waveforms(
+    # The tensor level loop
+    # ------------------------------------------------------------------
+    def _propagate(
         self,
         levels: Sequence[Sequence[GateInstance]],
-        waveforms: Dict[str, Waveform],
-        model_used: Dict[str, str],
-        stats: PropagationStats,
-        t_start: float,
-        t_stop: float,
-        context: str,
-        net_keys: Dict[str, str],
-        caching: bool,
-    ) -> None:
-        """The per-instance-waveform level loop (legacy batched + sequential)."""
-        run_times: Optional[np.ndarray] = None
-        if self.batched:
-            # Needed to resolve level-row pointer entries that a tensor run
-            # may have stored under the shared "batched" namespace.
-            run_times = simulation_time_grid(t_start, t_stop, self.options)
-        for level in levels:
-            pending: List[_StructuralPlan] = []
-            duplicates: List[_StructuralPlan] = []
-            first_with_key: Dict[str, _StructuralPlan] = {}
-            for instance in level:
-                splan = self._structural_plan(
-                    instance, waveforms, t_start, t_stop, context, net_keys if caching else None
-                )
-                model_used[splan.instance.name] = splan.label
-                if splan.key is None:
-                    pending.append(splan)
-                    continue
-                net_keys[splan.output_net] = splan.key
-                wave = self._lookup_waveform(splan.key, stats, run_times)
-                if wave is not None:
-                    waveforms[splan.output_net] = wave.renamed(splan.output_net)
-                elif splan.key in first_with_key:
-                    duplicates.append(splan)
-                else:
-                    first_with_key[splan.key] = splan
-                    pending.append(splan)
-
-            plans = [self._materialize(splan) for splan in pending]
-            if self.batched:
-                self._evaluate_level_batched(plans, waveforms, t_start, t_stop)
-            else:
-                self._evaluate_level_sequential(plans, waveforms, t_start, t_stop)
-            stats.integrations += len(plans)
-
-            for splan in pending:
-                if splan.key is None:
-                    continue
-                wave = waveforms[splan.output_net]
-                self._memo[splan.key] = wave
-                if self.cache is not None:
-                    self.cache.store(splan.key, wave)
-                    stats.stores += 1
-            for splan in duplicates:
-                stats.duplicates += 1
-                waveforms[splan.output_net] = self._memo[splan.key].renamed(splan.output_net)
-
-    # ------------------------------------------------------------------
-    def _lookup_waveform(
-        self, key: str, stats: PropagationStats, times: Optional[np.ndarray] = None
-    ) -> Optional[Waveform]:
-        """Memo, then disk; counts the provenance on the run's stats.
-
-        Disk entries are either plain waveforms or level-row pointers left by
-        a tensor run's whole-level spill; the latter resolve through
-        :meth:`_resolve_cached` (an unresolvable pointer is a miss — the
-        instance just re-integrates)."""
-        if key in self._memo:
-            stats.memo_hits += 1
-            return self._memo[key]
-        if self.cache is not None:
-            hit, value = self.cache.lookup(key)
-            if hit:
-                wave = self._resolve_cached(value, times)
-                if wave is None:
-                    return None
-                stats.cache_hits += 1
-                self._memo[key] = wave
-                return wave
-        return None
-
-    def _resolve_cached(
-        self, value: object, times: Optional[np.ndarray]
-    ) -> Optional[Waveform]:
-        """Turn a cache entry into a waveform on the run grid.
-
-        ``{"t": "level-row", "level": <key>, "row": <r>}`` pointers are
-        resolved against the in-memory level-tensor memo, then the disk
-        cache's level record; the reconstructed waveform reuses the engine's
-        run grid (``times``), which the level's rows are on by construction —
-        the context digest embeds the window and options, so a key hit
-        implies the same grid.  Anything unresolvable is reported as a miss.
-        """
-        if isinstance(value, Waveform):
-            return value
-        if not (isinstance(value, dict) and value.get("t") == "level-row"):
-            return None
-        if times is None:
-            return None
-        level_key = value.get("level")
-        row = value.get("row")
-        # Multi-corner spills add a "corner" field selecting the tensor's
-        # corner-axis column; single-corner pointers omit it (column 0).
-        corner = value.get("corner", 0)
-        if (
-            not isinstance(level_key, str)
-            or not isinstance(row, int)
-            or not isinstance(corner, int)
-        ):
-            return None
-        tensor = self._level_tensors.get(level_key)
-        if tensor is None and self.cache is not None:
-            hit, record = self.cache.lookup(level_key)
-            if hit and isinstance(record, dict):
-                candidate = record.get("tensor")
-                if isinstance(candidate, LevelTensor):
-                    tensor = candidate
-                    self._level_tensors[level_key] = tensor
-        if (
-            tensor is None
-            or tensor.num_samples != len(times)
-            or not 0 <= row < tensor.num_rows
-            or not 0 <= corner < tensor.num_corners
-        ):
-            return None
-        return Waveform(times, tensor.row_values(row, corner), name=tensor.names[row])
-
-    # ------------------------------------------------------------------
-    # Structure-of-arrays (level tensor) propagation
-    # ------------------------------------------------------------------
-    def _propagate_tensor(
-        self,
-        levels: Sequence[Sequence[GateInstance]],
+        runs: List[_CornerRun],
         input_waveforms: Dict[str, Waveform],
-        waveforms: Dict[str, Waveform],
-        model_used: Dict[str, str],
-        stats: PropagationStats,
+        boundary_waveforms: Dict[str, Waveform],
+        only: Optional[Set[str]],
         t_start: float,
         t_stop: float,
-        context: str,
-        net_keys: Dict[str, str],
         caching: bool,
-        only: Optional[Set[str]] = None,
-        boundary_waveforms: Optional[Dict[str, Waveform]] = None,
-    ) -> None:
-        """The tensorized level loop: every driven net lives as one row of a
-        :class:`LevelTensor` on the run grid, instances gather their input
-        rows by index, and each level's outputs are scattered into a fresh
-        tensor that the propagation cache spills as a single record.
+        streaming: bool,
+    ) -> List[Mapping[str, Waveform]]:
+        """Walk the levels once for every corner, memory policy and cone.
 
-        ``only`` restricts the walk to the named instances (everything else
-        is skipped outright — no plan, no key, no row); ``boundary_waveforms``
-        seed rows and chained content keys for cut nets of a truncated cone
-        without entering the result's waveforms.  An in-cone instance reading
-        a driven net that neither the cone nor the boundary provides is a
-        closure violation and raises, because silently treating it as a
+        Every driven net lives as one row of a :class:`LevelTensor` on the
+        run grid; per level, each instance is planned and keyed per corner,
+        served from the memo/store when every corner hits, deduplicated
+        against an earlier identical instance, or else integrated with the
+        level's other misses in one :meth:`_evaluate_level` pass whose
+        ``(instances, corners, samples)`` tensor :meth:`_spill` stores as
+        one record.
+
+        ``only`` skips everything outside the cone outright (no plan, no
+        key, no row); ``boundary_waveforms`` seed rows and chained content
+        keys for the cut nets of a truncated cone.  An in-cone instance
+        reading a driven net that neither the cone nor the boundary provides
+        is a closure violation and raises, because silently treating it as a
         constant-at-non-controlling net would corrupt the "exact" guarantee.
 
-        Bitwise-equivalence bookkeeping vs the per-waveform batched loop:
+        ``streaming`` changes memory behaviour only, never a sample: nothing
+        is memoized in RAM, rows retire after their last reader level (a
+        liveness pass gives exact retire points), hot level tensors are
+        capped by :attr:`memory_budget_bytes`, and a retired net reached
+        again (a deep skip-connection, a report) faults its level back in.
 
-        * driven rows ARE the legacy waveform sample arrays (same grid, same
-          integration), so switching classification and settle initial values
-          computed from them match exactly;
+        Bitwise-equivalence bookkeeping vs the per-instance reference:
+
         * primary inputs are classified and settled from their *original*
           waveforms — their resampled rows could miss inter-grid peaks and
           ``values[0]`` when the stimulus starts before the run window;
-        * stable nets reuse the legacy constant-at-non-controlling-level
-          semantics (a constant row interpolates to exactly the level).
+        * stable nets reuse the constant-at-non-controlling-level semantics
+          (a constant row interpolates to exactly the level).
         """
         times = simulation_time_grid(t_start, t_stop, self.options)
         step = float(times[1] - times[0])
         threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
-        rows: Dict[str, np.ndarray] = {}
-        initials: Dict[str, float] = {}
-        switching: Dict[str, bool] = {}
-        for net, wave in input_waveforms.items():
-            rows[net] = np.asarray(wave.value_at(times), dtype=float)
-            initials[net] = float(wave.initial_value())
-            switching[net] = self._is_switching(wave)
-        for net, wave in (boundary_waveforms or {}).items():
-            rows[net] = np.asarray(wave.value_at(times), dtype=float)
-            initials[net] = float(wave.initial_value())
-            switching[net] = self._is_switching(wave)
+        if only is not None:
+            levels = [[instance for instance in level if instance.name in only] for level in levels]
+        seeds = {**input_waveforms, **boundary_waveforms}
+        for net, wave in seeds.items():
+            row = np.asarray(wave.value_at(times), dtype=float)
+            initial = float(wave.initial_value())
+            switching = self._is_switching(wave)
+            for run in runs:
+                run.rows[net] = row
+                run.initials[net] = initial
+                run.switching[net] = switching
 
-        def admit(net: str, values: np.ndarray) -> None:
-            rows[net] = values
-            initials[net] = float(values[0])
-            switching[net] = float(values.max() - values.min()) > threshold
+        #: Streaming: level position -> nets whose last reader it is, and
+        #: level record key -> (corner, net) rows viewing that tensor (a
+        #: budget eviction drops those references so the memory comes back).
+        retire_at: Dict[int, List[str]] = {}
+        live_rows: Dict[str, Set[Tuple[int, str]]] = {}
+        if streaming:
+            # Pins of the previous streaming run are released: its result
+            # mapping (if anyone still holds it) keeps old records readable
+            # through the already-open memmap even if they get evicted now.
+            self._release_stream_pins()
+            last_read: Dict[str, int] = {}
+            for position, level in enumerate(levels):
+                for instance in level:
+                    for pin in self._cell(instance).inputs:
+                        last_read[instance.connections[pin]] = position
+            for position, level in enumerate(levels):
+                for instance in level:
+                    out = self._output_net(instance)
+                    retire_at.setdefault(max(last_read.get(out, position), position), []).append(out)
+            for net in seeds:
+                if net in last_read:
+                    retire_at.setdefault(last_read[net], []).append(net)
 
-        for level in levels:
-            pending: List[_TensorPlan] = []
-            duplicates: List[_TensorPlan] = []
-            first_with_key: Dict[str, _TensorPlan] = {}
+        def admit(c: int, net: str, values: np.ndarray, pointer: Optional[_Pointer]) -> None:
+            run = runs[c]
+            run.rows[net] = values
+            run.initials[net] = float(values[0])
+            run.switching[net] = float(values.max() - values.min()) > threshold
+            if streaming:
+                run.pointers[net] = pointer
+                live_rows.setdefault(pointer[0], set()).add((c, net))
+            else:
+                run.waveforms[net] = Waveform(times, values, name=net)
+
+        def fault_row(c: int, net: str) -> None:
+            run = runs[c]
+            level_key, row, corner = run.pointers[net]
+            values = _tensor_row(self._fault_level(level_key, run.stats), row, corner, times)
+            if values is None:
+                raise TimingError(
+                    f"streaming run lost the spilled level record for net "
+                    f"{net!r}; the store evicted or corrupted a pinned level"
+                )
+            run.rows[net] = values
+            live_rows.setdefault(level_key, set()).add((c, net))
+
+        def on_evict(level_key: str) -> None:
+            for c, net in live_rows.pop(level_key, ()):
+                if runs[c].rows.pop(net, None) is not None:
+                    runs[c].stats.spills += 1
+
+        for position, level in enumerate(levels):
+            # Each entry: (per-corner plans, corner -> (row values, pointer)
+            # of the corners already served from the memo or the store).
+            pending: List[Tuple[List[_Plan], Dict[int, Tuple[np.ndarray, Optional[_Pointer]]]]] = []
+            duplicates = []
+            first_with_keys: Dict[Tuple[str, ...], List[_Plan]] = {}
             for instance in level:
                 if only is not None:
-                    if instance.name not in only:
-                        continue
-                    for pin in self._cell(instance).inputs:
-                        net = instance.connections[pin]
-                        if net not in rows and self.connectivity.driver_of(net) is not None:
-                            raise TimingError(
-                                f"restricted cone is not closed: instance "
-                                f"{instance.name!r} reads net {net!r}, which is "
-                                "driven outside the cone and has no boundary "
-                                "waveform"
-                            )
-                tplan = self._tensor_plan(
-                    instance, switching, context, net_keys if caching else None
-                )
-                model_used[tplan.instance.name] = tplan.label
-                if tplan.key is None:
-                    pending.append(tplan)
+                    self._check_closed(instance, runs[0].switching)
+                plans: List[_Plan] = []
+                hits: Dict[int, Tuple[np.ndarray, Optional[_Pointer]]] = {}
+                for c, run in enumerate(runs):
+                    plan = self._plan(
+                        run.view, instance, run.switching, run.net_keys if caching else None
+                    )
+                    plans.append(plan)
+                    run.model_used[instance.name] = plan.label
+                    if plan.key is not None:
+                        run.net_keys[plan.output_net] = plan.key
+                        hit = self._lookup(plan.key, run.stats, times, streaming)
+                        if hit is not None:
+                            hits[c] = hit
+                if len(hits) == len(runs):
+                    for c, (values, pointer) in hits.items():
+                        admit(c, plans[c].output_net, values, pointer)
                     continue
-                net_keys[tplan.output_net] = tplan.key
-                wave = self._lookup_waveform(tplan.key, stats, times)
-                if wave is not None:
-                    out = wave.renamed(tplan.output_net)
-                    waveforms[tplan.output_net] = out
-                    admit(tplan.output_net, out.values)
-                elif tplan.key in first_with_key:
-                    duplicates.append(tplan)
-                else:
-                    first_with_key[tplan.key] = tplan
-                    pending.append(tplan)
+                keys = tuple(plan.key for plan in plans) if caching else None
+                if keys is not None and keys in first_with_keys:
+                    duplicates.append((first_with_keys[keys], plans, hits))
+                    continue
+                if keys is not None:
+                    first_with_keys[keys] = plans
+                pending.append((plans, hits))
 
             if pending:
-                tensor = self._evaluate_level_tensor(
-                    pending, rows, initials, times, t_start, step, t_stop
+                # Re-materialize retired (or budget-evicted) input rows this
+                # level still needs — skip connections can reach past the
+                # hot frontier.
+                for plans, hits in pending:
+                    for c, plan in enumerate(plans):
+                        if c in hits:
+                            continue
+                        for pin in plan.pins:
+                            net = plan.instance.connections[pin]
+                            if net not in runs[c].rows and net in runs[c].pointers:
+                                fault_row(c, net)
+                tensor = self._evaluate_level(pending, runs, times, t_start, step, t_stop)
+                level_key = self._spill(pending, tensor, runs, streaming) if caching else None
+                for r, (plans, hits) in enumerate(pending):
+                    for c, plan in enumerate(plans):
+                        admit(c, plan.output_net, tensor.row_values(r, c), (level_key, r, c))
+                        if plan.key is not None and not streaming:
+                            self._memo[plan.key] = runs[c].waveforms[plan.output_net]
+                if streaming:
+                    self._hot_put(level_key, tensor)
+
+            for first, plans, hits in duplicates:
+                for c, plan in enumerate(plans):
+                    if c in hits:
+                        values, pointer = hits[c]
+                    else:
+                        runs[c].stats.duplicates += 1
+                        source = first[c].output_net
+                        values, pointer = runs[c].rows[source], runs[c].pointers.get(source)
+                    admit(c, plan.output_net, values, pointer)
+
+            if streaming:
+                for net in retire_at.get(position, ()):
+                    for c, run in enumerate(runs):
+                        if run.rows.pop(net, None) is None:
+                            continue
+                        run.stats.spills += 1
+                        pointer = run.pointers.get(net)
+                        if pointer is not None and pointer[0] in live_rows:
+                            live_rows[pointer[0]].discard((c, net))
+                self._enforce_hot_budget(on_evict)
+
+        if not streaming:
+            return [run.waveforms for run in runs]
+
+        def fetch(net: str, level_key: str, row: int, corner: int) -> Waveform:
+            values = _tensor_row(self._fault_level(level_key, None), row, corner, times)
+            self._enforce_hot_budget()
+            if values is None:
+                raise TimingError(
+                    f"net {net!r}: the spilled level record backing this "
+                    "waveform is gone from the store"
                 )
-                stats.integrations += len(pending)
-                for r, tplan in enumerate(pending):
-                    values = tensor.row_values(r)
-                    wave = Waveform(times, values, name=tplan.output_net)
-                    waveforms[tplan.output_net] = wave
-                    admit(tplan.output_net, values)
-                if caching:
-                    self._spill_level(pending, tensor, waveforms, context, stats)
+            return Waveform(times, values, name=net)
 
-            for tplan in duplicates:
-                stats.duplicates += 1
-                out = self._memo[tplan.key].renamed(tplan.output_net)
-                waveforms[tplan.output_net] = out
-                admit(tplan.output_net, out.values)
+        return [_SpilledWaveforms(run.waveforms, run.pointers, fetch) for run in runs]
 
-    def _tensor_plan(
+    def _check_closed(self, instance: GateInstance, known: Mapping[str, bool]) -> None:
+        """Refuse an in-cone instance that reads a net driven outside the
+        cone without a boundary waveform."""
+        for pin in self._cell(instance).inputs:
+            net = instance.connections[pin]
+            if net not in known and self.connectivity.driver_of(net) is not None:
+                raise TimingError(
+                    f"restricted cone is not closed: instance "
+                    f"{instance.name!r} reads net {net!r}, which is "
+                    "driven outside the cone and has no boundary "
+                    "waveform"
+                )
+
+    @staticmethod
+    def _select_model(
+        cell, switching_pins: Sequence[str], models: TimingModelLibrary
+    ) -> Tuple[Tuple[str, ...], bool, str]:
+        """``(pins, mis, label)``: the MIS model of the first two switching
+        pins, else the SIS model of the switching (or first) pin."""
+        if len(switching_pins) >= 2 and cell.num_inputs >= 2:
+            label = "MCSM" if models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
+            return (switching_pins[0], switching_pins[1]), True, label
+        pin = switching_pins[0] if switching_pins else cell.inputs[0]
+        return (pin,), False, f"SISCSM[{pin}]"
+
+    def _propagation_key(
         self,
+        view: _CornerView,
+        instance: GateInstance,
+        load: Load,
+        net_keys: Optional[Dict[str, str]],
+    ) -> Optional[str]:
+        """The instance's content key at one corner.  Every input pin's net
+        content participates: stable-but-driven nets still shape the output
+        through the model's pin selection."""
+        if net_keys is None:
+            return None
+        inputs = [
+            (pin, net_keys.get(instance.connections[pin], "primary-constant"))
+            for pin in self._cell(instance).inputs
+        ]
+        return content_hash(
+            "sta-propagation",
+            view.context,
+            self._cell_digest(view, instance.cell_name),
+            load,
+            inputs,
+        )
+
+    def _plan(
+        self,
+        view: _CornerView,
         instance: GateInstance,
         switching: Dict[str, bool],
-        context: str,
         net_keys: Optional[Dict[str, str]],
-    ) -> _TensorPlan:
-        """Model selection, load and propagation key from net rows alone.
-
-        The same decisions as :meth:`_structural_plan` — switching pins from
-        the already-admitted per-net classification (stable nets default to
-        not switching, exactly like their constant pin waveforms), loads from
-        the per-instance structural cache — with no ``Waveform`` objects
-        touched."""
+    ) -> _Plan:
+        """Model selection, load and propagation key from the per-net
+        switching classification alone (stable nets default to not
+        switching, exactly like their constant pin waveforms).  Model-kind
+        selection uses the design cell — pin structure is corner-invariant —
+        while the load and the cell fingerprint come from the corner."""
         cell = self._cell(instance)
-        output_net = instance.connections[cell.output]
         switching_pins = [
             pin for pin in cell.inputs if switching.get(instance.connections[pin], False)
         ]
-
-        if len(switching_pins) >= 2 and cell.num_inputs >= 2:
-            pins = (switching_pins[0], switching_pins[1])
-            mis = True
-            label = "MCSM" if self.models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
-        else:
-            pin = switching_pins[0] if switching_pins else cell.inputs[0]
-            pins = (pin,)
-            mis = False
-            label = f"SISCSM[{pin}]"
-
-        load = self._load_cache.get(instance.name)
+        pins, mis, label = self._select_model(cell, switching_pins, view.models)
+        load_key = (view.name, instance.name)
+        load = self._load_cache.get(load_key)
         if load is None:
-            load = self._output_load(instance)
-            self._load_cache[instance.name] = load
-
-        key = None
-        if net_keys is not None:
-            inputs = [
-                (pin, net_keys.get(instance.connections[pin], "primary-constant"))
-                for pin in cell.inputs
-            ]
-            key = content_hash(
-                "sta-propagation",
-                context,
-                self._cell_digest(instance.cell_name),
-                load,
-                inputs,
-            )
-        return _TensorPlan(
+            load = self._output_load(instance, view.models)
+            self._load_cache[load_key] = load
+        return _Plan(
             instance=instance,
-            output_net=output_net,
+            output_net=instance.connections[cell.output],
             pins=pins,
             mis=mis,
             label=label,
             load=load,
-            key=key,
+            key=self._propagation_key(view, instance, load, net_keys),
         )
 
-    def _evaluate_level_tensor(
+    def _evaluate_level(
         self,
-        pending: Sequence[_TensorPlan],
-        rows: Dict[str, np.ndarray],
-        initials: Dict[str, float],
+        pending: Sequence[Tuple[List[_Plan], Dict[int, Tuple[np.ndarray, Optional[_Pointer]]]]],
+        runs: List[_CornerRun],
         times: np.ndarray,
         t_start: float,
         step: float,
         t_stop: float,
     ) -> LevelTensor:
-        """Settle + integrate one level from sample rows, returning the
-        level's output tensor (one row per pending instance, in order)."""
-        plans: List[_InstancePlan] = []
-        for tplan in pending:
-            if tplan.mis:
-                model = self.models.mis_model(tplan.instance.cell_name, *tplan.pins)
-            else:
-                model = self.models.sis_model(tplan.instance.cell_name, tplan.pins[0])
-            plans.append(
-                _InstancePlan(
-                    instance=tplan.instance,
-                    output_net=tplan.output_net,
-                    model=model,
-                    pins=tplan.pins,
-                    waves={},
-                    load=tplan.load,
-                    label=tplan.label,
-                )
-            )
+        """Settle + integrate one level's missing ``(instance, corner)``
+        pairs, returning the level's ``(instances, corners, samples)``
+        tensor.  Corners already served from the cache are scattered into
+        their slots without re-integration, so every row comes back
+        complete.
 
-        constant_units = []
-        for tplan, plan in zip(pending, plans):
-            constants = {}
-            for pin in plan.pins:
-                net = tplan.instance.connections[pin]
-                if net in initials:
-                    value = initials[net]
+        One worker runs ONE settle stack and ONE integration batch with the
+        corner dimension folded into the row axis (per-chunk lookup and
+        per-step loop overheads are paid once for all corners).  Several
+        workers run each corner as one task on a shared-memory thread pool
+        (numpy releases the GIL inside its lookup/gather loops); each
+        corner's batch then has exactly the composition of its own
+        single-corner run, so the results match that reference bitwise.
+        """
+        values = np.empty((len(pending), len(runs), len(times)))
+        jobs: List[Tuple[int, int, _Plan, _InstancePlan]] = []
+        for r, (plans, hits) in enumerate(pending):
+            for c, plan in enumerate(plans):
+                if c in hits:
+                    values[r, c] = hits[c][0]
                 else:
-                    value = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
-                constants[pin] = Waveform.constant(
-                    value, 0.0, self.options.settle_time, name=pin
+                    jobs.append((r, c, plan, self._materialize(plan, runs[c].view.models)))
+
+        def pin_level(plan: _Plan, pin: str) -> float:
+            return self._cell(plan.instance).non_controlling_value(pin) * self.vdd
+
+        def evaluate(batch):
+            constant_units = []
+            for _, c, plan, iplan in batch:
+                initials = runs[c].initials
+                constants = {}
+                for pin in plan.pins:
+                    net = plan.instance.connections[pin]
+                    value = initials[net] if net in initials else pin_level(plan, pin)
+                    constants[pin] = Waveform.constant(
+                        value, 0.0, self.options.settle_time, name=pin
+                    )
+                constant_units.append(self._unit(iplan, constants, self.vdd / 2.0, self.vdd / 2.0))
+            settled = settle_units(constant_units, self.options, batched_polish=True)
+            units = []
+            for (_, c, plan, iplan), (initial_output, initial_internal) in zip(batch, settled):
+                rows = runs[c].rows
+                samples: Dict[str, np.ndarray] = {}
+                for pin in plan.pins:
+                    net = plan.instance.connections[pin]
+                    samples[pin] = (
+                        rows[net] if net in rows else np.full(times.shape, pin_level(plan, pin))
+                    )
+                units.append(
+                    self._unit(iplan, {}, initial_output, initial_internal, samples=samples)
                 )
-            constant_units.append(self._unit(plan, constants, self.vdd / 2.0, self.vdd / 2.0))
-        settled = settle_units(constant_units, self.options, batched_polish=True)
-
-        units = []
-        for tplan, plan, (initial_output, initial_internal) in zip(pending, plans, settled):
-            samples: Dict[str, np.ndarray] = {}
-            for pin in plan.pins:
-                net = tplan.instance.connections[pin]
-                if net in rows:
-                    samples[pin] = rows[net]
-                else:
-                    level_v = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
-                    samples[pin] = np.full(times.shape, float(level_v))
-            units.append(
-                self._unit(plan, {}, initial_output, initial_internal, samples=samples)
+            _, outputs = integrate_model_many(
+                units, self.options, t_start, t_stop, shared_precompute=True
             )
-        _, outputs = integrate_model_many(
-            units, self.options, t_start, t_stop, shared_precompute=True
-        )
-        values = np.stack([v_out for v_out, _ in outputs])
-        return LevelTensor([plan.output_net for plan in plans], values, t_start, step)
+            return outputs
 
-    def _spill_level(
+        workers = self._corner_worker_count(len(runs))
+        if workers <= 1:
+            outputs = evaluate(jobs)
+        else:
+            by_corner: Dict[int, List[int]] = {}
+            for position, job in enumerate(jobs):
+                by_corner.setdefault(job[1], []).append(position)
+            groups = list(by_corner.values())
+            outputs = [None] * len(jobs)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                batches = pool.map(lambda group: evaluate([jobs[p] for p in group]), groups)
+                for group, batch_outputs in zip(groups, batches):
+                    for position, output in zip(group, batch_outputs):
+                        outputs[position] = output
+
+        for (r, c, _, _), (v_out, _) in zip(jobs, outputs):
+            values[r, c] = v_out
+            runs[c].stats.integrations += 1
+        names = [plans[0].output_net for plans, _ in pending]
+        return LevelTensor(names, values, t_start, step)
+
+    # ------------------------------------------------------------------
+    # The spill / lookup pair (owns the level-row pointer format)
+    # ------------------------------------------------------------------
+    def _spill(
         self,
-        pending: Sequence[_TensorPlan],
+        pending: Sequence[Tuple[List[_Plan], Dict[int, Tuple[np.ndarray, Optional[_Pointer]]]]],
         tensor: LevelTensor,
-        waveforms: Dict[str, Waveform],
-        context: str,
-        stats: PropagationStats,
-    ) -> None:
-        """Memoize the level's waveform views and spill the level to disk.
+        runs: List[_CornerRun],
+        streaming: bool,
+    ) -> Optional[str]:
+        """Spill one level to the store; returns the level record key.
 
         On disk the level becomes ONE record (the whole tensor) under a
-        content key over its instances' propagation keys; each per-instance
-        entry is a tiny ``{"t": "level-row"}`` pointer that lives inline in
-        the packed store's index.  ``stats.stores`` counts the per-instance
-        entries, matching the per-waveform path's accounting.
+        content key over its rows' propagation keys (``sta-level`` with the
+        run context, ``sta-level-mmmc`` for a corner set); each freshly
+        integrated ``(instance, corner)`` pair gets a tiny
+        ``{"t": "level-row", "level": <key>, "row": r}`` pointer (MMMC adds
+        ``"corner": c``) that lives inline in the packed store's index —
+        pairs served from the store already have theirs.  Resident runs keep
+        the tensor in the level memo; streaming pins the record so the
+        store's eviction never compacts away what live views reference.
         """
-        keys = [tplan.key for tplan in pending]
-        for tplan in pending:
-            self._memo[tplan.key] = waveforms[tplan.output_net]
         if self.cache is None:
-            return
-        level_key = content_hash("sta-level", context, keys)
-        items: List[Tuple[str, object]] = [
-            (tplan.key, {"t": "level-row", "level": level_key, "row": r})
-            for r, tplan in enumerate(pending)
-        ]
-        items.append((level_key, {"keys": keys, "tensor": tensor}))
-        store_many = getattr(self.cache, "store_many", None)
-        if store_many is not None:
-            store_many(items)
+            return None
+        multi = self.corners is not None
+        keys = [plan.key for plans, _ in pending for plan in plans]
+        if multi:
+            level_key = content_hash("sta-level-mmmc", keys)
         else:
-            for item_key, item_value in items:
-                self.cache.store(item_key, item_value)
-        stats.stores += len(pending)
-        self._level_tensors[level_key] = tensor
-
-    # ------------------------------------------------------------------
-    # Streaming propagation: bounded-memory level walk
-    # ------------------------------------------------------------------
-    def _propagate_tensor_stream(
-        self,
-        levels: Sequence[Sequence[GateInstance]],
-        input_waveforms: Dict[str, Waveform],
-        model_used: Dict[str, str],
-        stats: PropagationStats,
-        t_start: float,
-        t_stop: float,
-        context: str,
-        net_keys: Dict[str, str],
-    ) -> _SpilledWaveforms:
-        """The bounded-memory level walk behind ``memory_mode="stream"``.
-
-        Identical numerics to :meth:`_propagate_tensor` — the same plans,
-        the same settle/integrate calls on the same sample rows, so results
-        are **bitwise** equal to a resident run — with the memory behaviour
-        inverted: the packed store is the working set, RAM holds only
-
-        * the scalar per-net classification (``initials``/``switching``,
-          a few bytes per net — these never retire, which is what keeps the
-          propagation keys identical to resident mode),
-        * the sample rows of *live* nets (a net is live until the liveness
-          pass's last reader level has consumed it, then its row retires),
-        * a pinned LRU of hot level tensors capped by
-          :attr:`memory_budget_bytes` (evicted tensors drop to memmap views
-          whose resident pages are released via ``MADV_DONTNEED``).
-
-        Nothing is written to the in-memory waveform memo and no whole-run
-        entry is stored; a retired net reached again (an ECO, a report, a
-        duplicate, a deep skip-connection) faults its level back in
-        transparently.
-        """
-        times = simulation_time_grid(t_start, t_stop, self.options)
-        step = float(times[1] - times[0])
-        threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
-
-        # Pins of the previous streaming run are released: its result mapping
-        # (if anyone still holds it) keeps old records readable through the
-        # already-open memmap even if they get evicted now.
-        self._release_stream_pins()
-
-        # Liveness pass: the last level whose instances read each net.  Rows
-        # retire immediately after that level — exact retire points, not a
-        # heuristic.  A net nobody reads (a primary output tail) retires at
-        # its own producing level.
-        last_read: Dict[str, int] = {}
-        for position, level in enumerate(levels):
-            for instance in level:
-                for pin in self._cell(instance).inputs:
-                    last_read[instance.connections[pin]] = position
-        retire_at: Dict[int, List[str]] = {}
-        for position, level in enumerate(levels):
-            for instance in level:
-                out = self._output_net(instance)
-                retire_at.setdefault(max(last_read.get(out, position), position), []).append(out)
-        for net in input_waveforms:
-            if net in last_read:
-                retire_at.setdefault(last_read[net], []).append(net)
-
-        rows: Dict[str, np.ndarray] = {}
-        initials: Dict[str, float] = {}
-        switching: Dict[str, bool] = {}
-        #: nets whose waveform stays materialized in the result (primary
-        #: inputs and plain-waveform cache hits).
-        resident: Dict[str, Waveform] = {}
-        #: net -> (level record key, row, corner) for every spilled net.
-        pointers: Dict[str, Tuple[str, int, int]] = {}
-        #: level record key -> nets whose `rows` entry views that tensor; a
-        #: budget eviction drops those strong references so the tensor's
-        #: memory actually comes back (the nets re-fault later if re-read).
-        live_rows: Dict[str, Set[str]] = {}
-
-        for net, wave in input_waveforms.items():
-            rows[net] = np.asarray(wave.value_at(times), dtype=float)
-            initials[net] = float(wave.initial_value())
-            switching[net] = self._is_switching(wave)
-            resident[net] = wave.renamed(net)
-
-        def admit(net: str, values: np.ndarray) -> None:
-            rows[net] = values
-            initials[net] = float(values[0])
-            switching[net] = float(values.max() - values.min()) > threshold
-
-        def on_evict(level_key: str) -> None:
-            for net in live_rows.pop(level_key, ()):
-                if rows.pop(net, None) is not None:
-                    stats.spills += 1
-
-        def track(net: str, pointer: Tuple[str, int, int]) -> None:
-            pointers[net] = pointer
-            live_rows.setdefault(pointer[0], set()).add(net)
-
-        def fault_rows(net: str) -> np.ndarray:
-            level_key, row, corner = pointers[net]
-            tensor = self._fault_level(level_key, stats)
-            if (
-                tensor is None
-                or tensor.num_samples != len(times)
-                or not 0 <= row < tensor.num_rows
-                or not 0 <= corner < tensor.num_corners
-            ):
-                raise TimingError(
-                    f"streaming run lost the spilled level record for net "
-                    f"{net!r}; the store evicted or corrupted a pinned level"
-                )
-            values = tensor.row_values(row, corner)
-            rows[net] = values
-            live_rows.setdefault(level_key, set()).add(net)
-            return values
-
-        for position, level in enumerate(levels):
-            pending: List[_TensorPlan] = []
-            duplicates: List[_TensorPlan] = []
-            first_with_key: Dict[str, _TensorPlan] = {}
-            for instance in level:
-                tplan = self._tensor_plan(instance, switching, context, net_keys)
-                model_used[tplan.instance.name] = tplan.label
-                net_keys[tplan.output_net] = tplan.key
-                hit = self._stream_lookup(tplan.key, stats, times)
-                if hit is not None:
-                    values, pointer = hit
-                    admit(tplan.output_net, values)
-                    if pointer is not None:
-                        track(tplan.output_net, pointer)
-                    else:
-                        resident[tplan.output_net] = Waveform(
-                            times, values, name=tplan.output_net
-                        )
-                elif tplan.key in first_with_key:
-                    duplicates.append(tplan)
-                else:
-                    first_with_key[tplan.key] = tplan
-                    pending.append(tplan)
-
-            if pending:
-                # Re-materialize any retired (or budget-evicted) input rows
-                # this level still needs — skip connections can reach past
-                # the hot frontier.
-                for tplan in pending:
-                    for pin in tplan.pins:
-                        net = tplan.instance.connections[pin]
-                        if net not in rows and net in pointers:
-                            fault_rows(net)
-                tensor = self._evaluate_level_tensor(
-                    pending, rows, initials, times, t_start, step, t_stop
-                )
-                stats.integrations += len(pending)
-                level_key = self._spill_level_stream(pending, tensor, context, stats)
-                for r, tplan in enumerate(pending):
-                    admit(tplan.output_net, tensor.row_values(r))
-                    track(tplan.output_net, (level_key, r, 0))
-                self._hot_put(level_key, tensor)
-
-            for tplan in duplicates:
-                stats.duplicates += 1
-                first = first_with_key[tplan.key]
-                values = rows.get(first.output_net)
-                if values is None:
-                    values = fault_rows(first.output_net)
-                admit(tplan.output_net, values)
-                pointer = pointers.get(first.output_net)
-                if pointer is not None:
-                    track(tplan.output_net, pointer)
-                else:
-                    resident[tplan.output_net] = Waveform(
-                        times, values, name=tplan.output_net
-                    )
-
-            for net in retire_at.get(position, ()):
-                if rows.pop(net, None) is None:
+            level_key = content_hash("sta-level", runs[0].view.context, keys)
+        items: List[Tuple[str, object]] = []
+        for r, (plans, hits) in enumerate(pending):
+            for c, plan in enumerate(plans):
+                if c in hits:
                     continue
-                stats.spills += 1
-                pointer = pointers.get(net)
-                if pointer is not None:
-                    live = live_rows.get(pointer[0])
-                    if live is not None:
-                        live.discard(net)
-            self._enforce_hot_budget(on_evict)
-
-        def fetch(net: str, level_key: str, row: int, corner: int) -> Waveform:
-            tensor = self._fault_level(level_key, None)
-            self._enforce_hot_budget()
-            if (
-                tensor is None
-                or tensor.num_samples != len(times)
-                or not 0 <= row < tensor.num_rows
-                or not 0 <= corner < tensor.num_corners
-            ):
-                raise TimingError(
-                    f"net {net!r}: the spilled level record backing this "
-                    "waveform is gone from the store"
-                )
-            return Waveform(times, tensor.row_values(row, corner), name=net)
-
-        return _SpilledWaveforms(resident, pointers, fetch)
-
-    def _spill_level_stream(
-        self,
-        pending: Sequence[_TensorPlan],
-        tensor: LevelTensor,
-        context: str,
-        stats: PropagationStats,
-    ) -> str:
-        """Spill one level to the store as the run's *working set* copy.
-
-        Same record layout as :meth:`_spill_level` (one tensor record +
-        inline per-instance row pointers, one transaction), but nothing is
-        memoized in RAM and the level record is pinned so the store's
-        eviction policy can never compact away a record that live views (or
-        the run's pointers) still reference.
-        """
-        keys = [tplan.key for tplan in pending]
-        level_key = content_hash("sta-level", context, keys)
-        items: List[Tuple[str, object]] = [
-            (tplan.key, {"t": "level-row", "level": level_key, "row": r})
-            for r, tplan in enumerate(pending)
-        ]
+                pointer = {"t": "level-row", "level": level_key, "row": r}
+                if multi:
+                    pointer["corner"] = c
+                items.append((plan.key, pointer))
+                runs[c].stats.stores += 1
         items.append((level_key, {"keys": keys, "tensor": tensor}))
         store_many = getattr(self.cache, "store_many", None)
         if store_many is not None:
@@ -2025,50 +1676,59 @@ class CSMEngine(TimingEngine):
         else:
             for item_key, item_value in items:
                 self.cache.store(item_key, item_value)
-        stats.stores += len(pending)
-        self._pin_level(level_key)
+        if streaming:
+            self._pin_level(level_key)
+        else:
+            self._level_tensors[level_key] = tensor
         return level_key
 
-    def _stream_lookup(
-        self, key: str, stats: PropagationStats, times: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, Optional[Tuple[str, int, int]]]]:
-        """Disk-only propagation-key lookup for the streaming path.
+    def _lookup(
+        self, key: str, stats: PropagationStats, times: np.ndarray, streaming: bool
+    ) -> Optional[Tuple[np.ndarray, Optional[_Pointer]]]:
+        """Resolve a propagation key to ``(sample row, pointer)``.
 
-        Unlike :meth:`_lookup_waveform` nothing is memoized in RAM; a hit
-        returns the raw sample row plus its level pointer (``None`` for
-        plain-waveform entries, which stay resident).  Unresolvable entries
-        are misses — the instance just re-integrates.
+        Resident runs try the memo first (pointer ``None``), then the store;
+        a store entry is a level-row pointer resolved against the level memo
+        (resident) or the hot LRU, faulting the record in (streaming).
+        Anything unresolvable is a miss — the instance just re-integrates.
         """
+        if not streaming:
+            wave = self._memo.get(key)
+            if wave is not None:
+                stats.memo_hits += 1
+                return wave.values, None
+        if self.cache is None:
+            return None
         hit, value = self.cache.lookup(key)
-        if not hit:
+        pointer = _decode_pointer(value) if hit else None
+        if pointer is None:
             return None
-        if isinstance(value, Waveform):
-            if len(value.values) != len(times):
-                return None
-            stats.cache_hits += 1
-            return np.asarray(value.values, dtype=float), None
-        if not (isinstance(value, dict) and value.get("t") == "level-row"):
-            return None
-        level_key = value.get("level")
-        row = value.get("row")
-        corner = value.get("corner", 0)
-        if (
-            not isinstance(level_key, str)
-            or not isinstance(row, int)
-            or not isinstance(corner, int)
-        ):
-            return None
-        tensor = self._fault_level(level_key, stats)
-        if (
-            tensor is None
-            or tensor.num_samples != len(times)
-            or not 0 <= row < tensor.num_rows
-            or not 0 <= corner < tensor.num_corners
-        ):
+        level_key, row, corner = pointer
+        if streaming:
+            tensor = self._fault_level(level_key, stats)
+        else:
+            tensor = self._level_tensors.get(level_key)
+            if tensor is None:
+                tensor = self._load_level(level_key)
+                if tensor is not None:
+                    self._level_tensors[level_key] = tensor
+        values = _tensor_row(tensor, row, corner, times)
+        if values is None:
             return None
         stats.cache_hits += 1
-        return tensor.row_values(row, corner), (level_key, row, corner)
+        if not streaming:
+            self._memo[key] = Waveform(times, values, name=tensor.names[row])
+        return values, pointer
 
+    def _load_level(self, level_key: str) -> Optional[LevelTensor]:
+        """A level record's tensor from the store (``None`` if absent)."""
+        hit, record = self.cache.lookup(level_key)
+        tensor = record.get("tensor") if hit and isinstance(record, dict) else None
+        return tensor if isinstance(tensor, LevelTensor) else None
+
+    # ------------------------------------------------------------------
+    # Streaming memory policy: pinned hot-level LRU
+    # ------------------------------------------------------------------
     def _fault_level(
         self, level_key: str, stats: Optional[PropagationStats]
     ) -> Optional[LevelTensor]:
@@ -2084,12 +1744,7 @@ class CSMEngine(TimingEngine):
             return entry[0]
         if self.cache is None:
             return None
-        hit, record = self.cache.lookup(level_key)
-        tensor: Optional[LevelTensor] = None
-        if hit and isinstance(record, dict):
-            candidate = record.get("tensor")
-            if isinstance(candidate, LevelTensor):
-                tensor = candidate
+        tensor = self._load_level(level_key)
         if tensor is None:
             return None
         if stats is not None:
@@ -2140,425 +1795,85 @@ class CSMEngine(TimingEngine):
         self._stream_pins.clear()
 
     # ------------------------------------------------------------------
-    # Batched MMMC: all corners in one tensor pass
+    # The per-instance reference path (batched=False)
     # ------------------------------------------------------------------
-    def _corner_tensor_plan(
+    def _propagate_waveforms(
         self,
-        cc: CornerContext,
-        instance: GateInstance,
-        switching: Dict[str, bool],
-        context: str,
-        net_keys: Optional[Dict[str, str]],
-    ) -> _TensorPlan:
-        """:meth:`_tensor_plan` against one corner's model library.
-
-        Model-kind selection uses the design cell (pin structure is
-        corner-invariant); the load and the cell fingerprint come from the
-        corner's characterized library, so the propagation key dedupes per
-        corner with zero namespace collisions."""
-        cell = self._cell(instance)
-        output_net = instance.connections[cell.output]
-        switching_pins = [
-            pin for pin in cell.inputs if switching.get(instance.connections[pin], False)
-        ]
-
-        if len(switching_pins) >= 2 and cell.num_inputs >= 2:
-            pins = (switching_pins[0], switching_pins[1])
-            mis = True
-            label = "MCSM" if cc.models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
-        else:
-            pin = switching_pins[0] if switching_pins else cell.inputs[0]
-            pins = (pin,)
-            mis = False
-            label = f"SISCSM[{pin}]"
-
-        load_key = (cc.name, instance.name)
-        load = self._corner_load_cache.get(load_key)
-        if load is None:
-            load = self._output_load_for(instance, cc.models)
-            self._corner_load_cache[load_key] = load
-
-        key = None
-        if net_keys is not None:
-            inputs = [
-                (pin, net_keys.get(instance.connections[pin], "primary-constant"))
-                for pin in cell.inputs
-            ]
-            key = content_hash(
-                "sta-propagation",
-                context,
-                self._corner_cell_digest(cc, instance.cell_name),
-                load,
-                inputs,
-            )
-        return _TensorPlan(
-            instance=instance,
-            output_net=output_net,
-            pins=pins,
-            mis=mis,
-            label=label,
-            load=load,
-            key=key,
-        )
-
-    def _run_multicorner(
-        self,
-        input_waveforms: Dict[str, Waveform],
-        t_stop: float,
+        levels: Sequence[Sequence[GateInstance]],
+        run: _CornerRun,
         t_start: float,
-    ) -> MulticornerTimingResult:
-        """Propagate every corner of :attr:`corners` in ONE levelized pass.
-
-        The level walk is shared: each level gathers its per-corner input
-        rows, integrates every still-missing ``(instance, corner)`` pair
-        through one :func:`settle_units` stack and one
-        :func:`integrate_model_many` call (same-vdd corners share voltage
-        grids, so their table lookups fuse into the existing row-chunked
-        lockstep batches), and scatters the outputs into a single
-        ``(instances, corners, samples)`` :class:`LevelTensor`.  Per-corner
-        propagation keys embed the corner's context digest and the corner
-        library's cell fingerprint, so the memo, the packed store's level
-        spills and run keys all dedupe per corner without collisions.
-        """
-        corners = self.corners
-        order = corners.names
-        levels = self.levels()
-        per_stats = {
-            name: PropagationStats(instances=len(self.netlist.instances))
-            for name in order
-        }
-        caching = self.use_cache
-        net_keys: Dict[str, Dict[str, str]] = {name: {} for name in order}
-        contexts: Dict[str, str] = {name: "" for name in order}
-        run_key: Optional[str] = None
-        if caching:
-            stimuli = self.stimulus_keys(input_waveforms)
-            base_context = self._context_digest(t_start, t_stop)
-            for cc in corners:
-                contexts[cc.name] = content_hash(
-                    "sta-context-mmmc", base_context, cc.name, cc.corner
-                )
-                net_keys[cc.name] = dict(stimuli)
-            if self.cache is not None:
-                run_key = content_hash(
-                    "sta-run-mmmc",
-                    [contexts[name] for name in order],
-                    self._netlist_digest(),
-                    sorted(stimuli.items()),
-                )
-                self.last_run_key = run_key
-                hit, value = self.cache.lookup(run_key)
-                if hit:
-                    for name in order:
-                        per_stats[name].full_run_hit = True
-                        result = value.results.get(name)
-                        if result is not None:
-                            result.stats = per_stats[name].as_dict()
-                    value.stats = {name: per_stats[name].as_dict() for name in order}
-                    self.last_stats = self._aggregate_stats(per_stats, order)
-                    return value
-
-        for cc in corners:
-            cc.models.prewarm_for_netlist(self.netlist, kinds=("sis",))
-
-        times = simulation_time_grid(t_start, t_stop, self.options)
-        step = float(times[1] - times[0])
-        threshold = SWITCHING_THRESHOLD_FRACTION * self.vdd
-        # Per-corner propagation state.  Primary-input rows, initial values
-        # and switching classification are identical across corners (one
-        # stimulus set, one vdd), so the seed entries are shared references;
-        # driven nets diverge per corner from the first level on.
-        rows: Dict[str, Dict[str, np.ndarray]] = {name: {} for name in order}
-        initials: Dict[str, Dict[str, float]] = {name: {} for name in order}
-        switching: Dict[str, Dict[str, bool]] = {name: {} for name in order}
-        waveforms: Dict[str, Dict[str, Waveform]] = {
-            name: {net: wave.renamed(net) for net, wave in input_waveforms.items()}
-            for name in order
-        }
-        model_used: Dict[str, Dict[str, str]] = {name: {} for name in order}
-        for net, wave in input_waveforms.items():
-            row = np.asarray(wave.value_at(times), dtype=float)
-            initial = float(wave.initial_value())
-            is_switching = self._is_switching(wave)
-            for name in order:
-                rows[name][net] = row
-                initials[name][net] = initial
-                switching[name][net] = is_switching
-
-        def admit(name: str, net: str, values: np.ndarray) -> None:
-            rows[name][net] = values
-            initials[name][net] = float(values[0])
-            switching[name][net] = float(values.max() - values.min()) > threshold
-
-        for level in levels:
-            # Each entry: (instance, {corner: plan}, {corner: hit waveform}).
-            pending: List[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]] = []
-            duplicates: List[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]] = []
-            first_with_key: Dict[Tuple[str, ...], GateInstance] = {}
-            for instance in level:
-                plans: Dict[str, _TensorPlan] = {}
-                hits: Dict[str, Waveform] = {}
-                for cc in corners:
-                    name = cc.name
-                    tplan = self._corner_tensor_plan(
-                        cc,
-                        instance,
-                        switching[name],
-                        contexts[name],
-                        net_keys[name] if caching else None,
-                    )
-                    plans[name] = tplan
-                    model_used[name][instance.name] = tplan.label
-                    if tplan.key is not None:
-                        net_keys[name][tplan.output_net] = tplan.key
-                        wave = self._lookup_waveform(tplan.key, per_stats[name], times)
-                        if wave is not None:
-                            hits[name] = wave
-                if len(hits) == len(order):
-                    for name in order:
-                        out = hits[name].renamed(plans[name].output_net)
-                        waveforms[name][plans[name].output_net] = out
-                        admit(name, plans[name].output_net, out.values)
-                    continue
-                key_tuple = (
-                    tuple(plans[name].key for name in order)
-                    if caching and all(plans[name].key is not None for name in order)
-                    else None
-                )
-                if key_tuple is not None and key_tuple in first_with_key:
-                    duplicates.append((instance, plans, hits))
-                    continue
-                if key_tuple is not None:
-                    first_with_key[key_tuple] = instance
-                pending.append((instance, plans, hits))
-
-            if pending:
-                tensor = self._evaluate_level_tensor_multi(
-                    pending, order, rows, initials, times, t_start, step, t_stop, per_stats
-                )
-                for r, (instance, plans, hits) in enumerate(pending):
-                    output_net = plans[order[0]].output_net
-                    for c, name in enumerate(order):
-                        values = tensor.row_values(r, c)
-                        wave = Waveform(times, values, name=output_net)
-                        waveforms[name][output_net] = wave
-                        admit(name, output_net, values)
-                if caching:
-                    self._spill_level_multi(pending, order, tensor, waveforms, per_stats)
-
-            for instance, plans, hits in duplicates:
-                for name in order:
-                    tplan = plans[name]
-                    if name in hits:
-                        out = hits[name].renamed(tplan.output_net)
-                    else:
-                        per_stats[name].duplicates += 1
-                        out = self._memo[tplan.key].renamed(tplan.output_net)
-                    waveforms[name][tplan.output_net] = out
-                    admit(name, tplan.output_net, out.values)
-
-        results = {
-            name: WaveformTimingResult(
-                waveforms=waveforms[name],
-                model_used=model_used[name],
-                netlist_name=self.netlist.name,
-                vdd=self.vdd,
-                stats=per_stats[name].as_dict(),
-            )
-            for name in order
-        }
-        merged = MulticornerTimingResult(
-            results=results,
-            corner_order=list(order),
-            netlist_name=self.netlist.name,
-            vdd=self.vdd,
-            stats={name: per_stats[name].as_dict() for name in order},
-        )
-        if run_key is not None:
-            self.cache.store(run_key, merged)
-        self.last_stats = self._aggregate_stats(per_stats, order)
-        return merged
-
-    def _evaluate_level_tensor_multi(
-        self,
-        pending: Sequence[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]],
-        order: List[str],
-        rows: Dict[str, Dict[str, np.ndarray]],
-        initials: Dict[str, Dict[str, float]],
-        times: np.ndarray,
-        t_start: float,
-        step: float,
         t_stop: float,
-        per_stats: Dict[str, PropagationStats],
-    ) -> LevelTensor:
-        """Settle + integrate one level's missing ``(instance, corner)``
-        pairs, returning the level's ``(instances, corners, samples)``
-        tensor.  Per-corner cache hits are scattered into their tensor slots
-        without re-integration, so every row comes back complete."""
-        corners = self.corners
-        values = np.empty((len(pending), len(order), len(times)))
-        jobs: List[Tuple[int, int, str, _TensorPlan]] = []
-        for r, (instance, plans, hits) in enumerate(pending):
-            for c, name in enumerate(order):
-                if name in hits:
-                    values[r, c] = hits[name].values
-                else:
-                    jobs.append((r, c, name, plans[name]))
-
-        plans_flat: List[_InstancePlan] = []
-        for r, c, name, tplan in jobs:
-            cc = corners[name]
-            if tplan.mis:
-                model = cc.models.mis_model(tplan.instance.cell_name, *tplan.pins)
-            else:
-                model = cc.models.sis_model(tplan.instance.cell_name, tplan.pins[0])
-            plans_flat.append(
-                _InstancePlan(
-                    instance=tplan.instance,
-                    output_net=tplan.output_net,
-                    model=model,
-                    pins=tplan.pins,
-                    waves={},
-                    load=tplan.load,
-                    label=tplan.label,
-                )
-            )
-
-        constant_units = []
-        for (r, c, name, tplan), plan in zip(jobs, plans_flat):
-            constants = {}
-            for pin in plan.pins:
-                net = tplan.instance.connections[pin]
-                if net in initials[name]:
-                    value = initials[name][net]
-                else:
-                    value = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
-                constants[pin] = Waveform.constant(
-                    value, 0.0, self.options.settle_time, name=pin
-                )
-            constant_units.append(self._unit(plan, constants, self.vdd / 2.0, self.vdd / 2.0))
-
-        def integration_unit(position: int, initial_output: float, initial_internal):
-            _, _, name, tplan = jobs[position]
-            plan = plans_flat[position]
-            samples: Dict[str, np.ndarray] = {}
-            for pin in plan.pins:
-                net = tplan.instance.connections[pin]
-                if net in rows[name]:
-                    samples[pin] = rows[name][net]
-                else:
-                    level_v = self._cell(tplan.instance).non_controlling_value(pin) * self.vdd
-                    samples[pin] = np.full(times.shape, float(level_v))
-            return self._unit(plan, {}, initial_output, initial_internal, samples=samples)
-
-        workers = self._corner_worker_count(len(order))
-        if workers <= 1:
-            # Single-core: ONE settle stack and ONE integration batch with
-            # the corner dimension folded into the row axis (the fused MMMC
-            # pass — per-chunk lookup and per-step loop overheads are paid
-            # once for all corners).
-            settled = settle_units(constant_units, self.options, batched_polish=True)
-            units = [
-                integration_unit(position, initial_output, initial_internal)
-                for position, (initial_output, initial_internal) in enumerate(settled)
-            ]
-            _, outputs = integrate_model_many(
-                units, self.options, t_start, t_stop, shared_precompute=True
-            )
-        else:
-            # Multi-core: corners are data-independent within a level, so
-            # each corner's settle + integration runs as one task on a
-            # shared-memory thread pool (numpy releases the GIL inside its
-            # lookup/gather loops).  Each corner's batches have exactly the
-            # composition its serial single-corner run would build, so the
-            # per-corner results match that reference bitwise.
-            by_corner: Dict[str, List[int]] = {}
-            for position, (r, c, name, tplan) in enumerate(jobs):
-                by_corner.setdefault(name, []).append(position)
-
-            def evaluate_corner(positions: List[int]):
-                corner_settled = settle_units(
-                    [constant_units[p] for p in positions],
-                    self.options,
-                    batched_polish=True,
-                )
-                corner_units = [
-                    integration_unit(position, initial_output, initial_internal)
-                    for position, (initial_output, initial_internal) in zip(
-                        positions, corner_settled
-                    )
-                ]
-                _, corner_outputs = integrate_model_many(
-                    corner_units, self.options, t_start, t_stop, shared_precompute=True
-                )
-                return corner_outputs
-
-            outputs = [None] * len(jobs)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for positions, corner_outputs in zip(
-                    by_corner.values(), pool.map(evaluate_corner, by_corner.values())
-                ):
-                    for position, output in zip(positions, corner_outputs):
-                        outputs[position] = output
-
-        for (r, c, name, tplan), (v_out, _) in zip(jobs, outputs):
-            values[r, c] = v_out
-            per_stats[name].integrations += 1
-
-        names = [plans[order[0]].output_net for _, plans, _ in pending]
-        return LevelTensor(names, values, t_start, step)
-
-    def _spill_level_multi(
-        self,
-        pending: Sequence[Tuple[GateInstance, Dict[str, _TensorPlan], Dict[str, Waveform]]],
-        order: List[str],
-        tensor: LevelTensor,
-        waveforms: Dict[str, Dict[str, Waveform]],
-        per_stats: Dict[str, PropagationStats],
+        caching: bool,
     ) -> None:
-        """Multi-corner whole-level spill: ONE tensor record for the level,
-        plus a ``{"t": "level-row", ..., "corner": c}`` pointer per freshly
-        integrated ``(instance, corner)`` pair (pairs served from the cache
-        already have their entries)."""
-        flat_keys: List[str] = []
-        for instance, plans, hits in pending:
-            for name in order:
-                flat_keys.append(plans[name].key)
-        for instance, plans, hits in pending:
-            for name in order:
-                tplan = plans[name]
-                self._memo[tplan.key] = waveforms[name][tplan.output_net]
-        if self.cache is None:
-            return
-        level_key = content_hash("sta-level-mmmc", flat_keys)
-        items: List[Tuple[str, object]] = []
-        for r, (instance, plans, hits) in enumerate(pending):
-            for c, name in enumerate(order):
-                if name in hits:
-                    continue
-                items.append(
-                    (
-                        plans[name].key,
-                        {"t": "level-row", "level": level_key, "row": r, "corner": c},
-                    )
+        """The per-instance reference level loop: one ``model.simulate`` per
+        instance, plain waveforms in the memo and the store."""
+        waveforms = run.waveforms
+        stats = run.stats
+        for level in levels:
+            pending: List[_StructuralPlan] = []
+            duplicates: List[_StructuralPlan] = []
+            first_with_key: Dict[str, _StructuralPlan] = {}
+            for instance in level:
+                splan = self._structural_plan(
+                    run.view, instance, waveforms, t_start, t_stop,
+                    run.net_keys if caching else None,
                 )
-                per_stats[name].stores += 1
-        items.append((level_key, {"keys": flat_keys, "tensor": tensor}))
-        store_many = getattr(self.cache, "store_many", None)
-        if store_many is not None:
-            store_many(items)
-        else:
-            for item_key, item_value in items:
-                self.cache.store(item_key, item_value)
-        self._level_tensors[level_key] = tensor
+                run.model_used[splan.instance.name] = splan.label
+                if splan.key is None:
+                    pending.append(splan)
+                    continue
+                run.net_keys[splan.output_net] = splan.key
+                wave = self._lookup_waveform(splan.key, stats)
+                if wave is not None:
+                    waveforms[splan.output_net] = wave.renamed(splan.output_net)
+                elif splan.key in first_with_key:
+                    duplicates.append(splan)
+                else:
+                    first_with_key[splan.key] = splan
+                    pending.append(splan)
+
+            plans = [
+                self._materialize(
+                    splan, self.models, {pin: splan.pin_waves[pin] for pin in splan.pins}
+                )
+                for splan in pending
+            ]
+            self._evaluate_level_sequential(plans, waveforms, t_start, t_stop)
+            stats.integrations += len(plans)
+
+            for splan in pending:
+                if splan.key is None:
+                    continue
+                wave = waveforms[splan.output_net]
+                self._memo[splan.key] = wave
+                if self.cache is not None:
+                    self.cache.store(splan.key, wave)
+                    stats.stores += 1
+            for splan in duplicates:
+                stats.duplicates += 1
+                waveforms[splan.output_net] = self._memo[splan.key].renamed(splan.output_net)
+
+    def _lookup_waveform(self, key: str, stats: PropagationStats) -> Optional[Waveform]:
+        """Memo, then disk (plain waveform entries only); counts the
+        provenance on the run's stats."""
+        if key in self._memo:
+            stats.memo_hits += 1
+            return self._memo[key]
+        if self.cache is not None:
+            hit, value = self.cache.lookup(key)
+            if hit and isinstance(value, Waveform):
+                stats.cache_hits += 1
+                self._memo[key] = value
+                return value
+        return None
 
     def _structural_plan(
         self,
+        view: _CornerView,
         instance: GateInstance,
         waveforms: Dict[str, Waveform],
         t_start: float,
         t_stop: float,
-        context: str,
         net_keys: Optional[Dict[str, str]],
     ) -> _StructuralPlan:
         """Select model kind, switching pins, load — and the propagation key.
@@ -2569,62 +1884,40 @@ class CSMEngine(TimingEngine):
         construction entirely.
         """
         cell = self._cell(instance)
-        output_net = instance.connections[cell.output]
         pin_waves = self._pin_waveforms(instance, waveforms, t_start, t_stop)
         switching = [pin for pin in cell.inputs if self._is_switching(pin_waves[pin])]
-
-        if len(switching) >= 2 and cell.num_inputs >= 2:
-            pins = (switching[0], switching[1])
-            mis = True
-            label = "MCSM" if self.models._mis_kind(cell) == "mcsm" else "BaselineMISCSM"
-        else:
-            pin = switching[0] if switching else cell.inputs[0]
-            pins = (pin,)
-            mis = False
-            label = f"SISCSM[{pin}]"
-        load = self._output_load(instance)
-
-        key = None
-        if net_keys is not None:
-            # Every input pin's net content participates: stable-but-driven
-            # nets still shape the output through the model's pin selection.
-            inputs = [
-                (pin, net_keys.get(instance.connections[pin], "primary-constant"))
-                for pin in cell.inputs
-            ]
-            key = content_hash(
-                "sta-propagation",
-                context,
-                self._cell_digest(instance.cell_name),
-                load,
-                inputs,
-            )
+        pins, mis, label = self._select_model(cell, switching, self.models)
+        load = self._output_load(instance, self.models)
         return _StructuralPlan(
             instance=instance,
-            output_net=output_net,
+            output_net=instance.connections[cell.output],
             pins=pins,
             mis=mis,
             label=label,
             load=load,
+            key=self._propagation_key(view, instance, load, net_keys),
             pin_waves=pin_waves,
-            key=key,
         )
 
-    def _materialize(self, splan: _StructuralPlan) -> _InstancePlan:
+    def _materialize(
+        self,
+        plan: _Plan,
+        models: TimingModelLibrary,
+        waves: Optional[Dict[str, Waveform]] = None,
+    ) -> _InstancePlan:
         """Fetch the characterized model for a cache miss."""
-        if splan.mis:
-            model = self.models.mis_model(splan.instance.cell_name, *splan.pins)
+        if plan.mis:
+            model = models.mis_model(plan.instance.cell_name, *plan.pins)
         else:
-            model = self.models.sis_model(splan.instance.cell_name, splan.pins[0])
-        waves = {pin: splan.pin_waves[pin] for pin in splan.pins}
+            model = models.sis_model(plan.instance.cell_name, plan.pins[0])
         return _InstancePlan(
-            instance=splan.instance,
-            output_net=splan.output_net,
+            instance=plan.instance,
+            output_net=plan.output_net,
             model=model,
-            pins=splan.pins,
-            waves=waves,
-            load=splan.load,
-            label=splan.label,
+            pins=plan.pins,
+            waves=waves or {},
+            load=plan.load,
+            label=plan.label,
         )
 
     def _evaluate_level_sequential(
@@ -2650,39 +1943,6 @@ class CSMEngine(TimingEngine):
                     plan.waves, plan.load, options=self.options, t_start=t_start, t_stop=t_stop
                 )
             waveforms[plan.output_net] = result.output.renamed(plan.output_net)
-
-    def _evaluate_level_batched(
-        self,
-        plans: Sequence[_InstancePlan],
-        waveforms: Dict[str, Waveform],
-        t_start: float,
-        t_stop: float,
-    ) -> None:
-        """Lockstep path: settle every instance of the level in one batch,
-        then integrate the main window in one batch."""
-        if not plans:
-            return
-        # Settle pass: constant inputs at each waveform's initial value,
-        # starting from Vdd/2 — exactly what the per-model ``_settle_output``
-        # / ``settle_state`` helpers do (DC operating point by default, the
-        # legacy full-window integration under ``settle_mode="integrate"``).
-        constant_units = []
-        for plan in plans:
-            constants = {
-                pin: Waveform.constant(
-                    plan.waves[pin].initial_value(), 0.0, self.options.settle_time, name=pin
-                )
-                for pin in plan.pins
-            }
-            constant_units.append(self._unit(plan, constants, self.vdd / 2.0, self.vdd / 2.0))
-        settled = settle_units(constant_units, self.options)
-
-        units = []
-        for plan, (initial_output, initial_internal) in zip(plans, settled):
-            units.append(self._unit(plan, plan.waves, initial_output, initial_internal))
-        times, outputs = integrate_model_many(units, self.options, t_start, t_stop)
-        for plan, (v_out, _) in zip(plans, outputs):
-            waveforms[plan.output_net] = Waveform(times, v_out, name=plan.output_net)
 
     def _unit(
         self,
@@ -2731,140 +1991,3 @@ class CSMEngine(TimingEngine):
 
     def _is_switching(self, waveform: Waveform) -> bool:
         return (waveform.maximum() - waveform.minimum()) > SWITCHING_THRESHOLD_FRACTION * self.vdd
-
-
-# ----------------------------------------------------------------------
-# Independent fanout cones as parallel runtime jobs
-# ----------------------------------------------------------------------
-def independent_cones(netlist: GateNetlist) -> List[GateNetlist]:
-    """Split a netlist into its weakly connected instance components.
-
-    Each cone is a self-contained :class:`GateNetlist` (its primary inputs
-    are the parent nets feeding it, its primary outputs the parent outputs it
-    drives); evaluating all cones and merging their nets reproduces the
-    parent evaluation exactly, because no waveform crosses cone boundaries.
-    """
-    graph = netlist.instance_graph()
-    components = list(nx.weakly_connected_components(graph))
-    if len(components) <= 1:
-        return [netlist]
-    order = {name: position for position, name in enumerate(netlist.instances)}
-    cones: List[GateNetlist] = []
-    for names in sorted(components, key=lambda group: min(order[n] for n in group)):
-        members = [name for name in netlist.instances if name in names]
-        cone = GateNetlist(library=netlist.library, name=f"{netlist.name}.cone{len(cones)}")
-        driven: set = set()
-        used: set = set()
-        for name in members:
-            instance = netlist.instances[name]
-            cell = netlist.library[instance.cell_name]
-            cone.add_instance(name, instance.cell_name, instance.connections)
-            driven.add(instance.connections[cell.output])
-            used.update(instance.connections.values())
-        for net in netlist.primary_inputs:
-            if net in used and net not in driven:
-                cone.add_primary_input(net)
-        for net in netlist.primary_outputs:
-            if net in driven:
-                cone.add_primary_output(net)
-        for net, capacitance in netlist.net_wire_capacitance.items():
-            if net in used:
-                cone.set_wire_capacitance(net, capacitance)
-        cones.append(cone)
-    return cones
-
-
-def _evaluate_cone(
-    netlist: GateNetlist,
-    models: TimingModelLibrary,
-    input_waveforms: Dict[str, Waveform],
-    options: Optional[SimulationOptions],
-    batched: bool,
-    t_start: float,
-    t_stop: float,
-) -> WaveformTimingResult:
-    """Module-level job target: run one cone (picklable for process pools)."""
-    engine = CSMEngine(netlist, models, options=options, batched=batched)
-    return engine.run(input_waveforms, t_stop=t_stop, t_start=t_start)
-
-
-def run_cones(
-    netlist: GateNetlist,
-    models: TimingModelLibrary,
-    input_waveforms: Dict[str, Waveform],
-    options: Optional[SimulationOptions] = None,
-    batched: bool = True,
-    executor: Optional[Executor] = None,
-    t_stop: Optional[float] = None,
-) -> WaveformTimingResult:
-    """Evaluate the independent fanout cones of a design as parallel jobs.
-
-    The cones share one common time window (computed over *all* primary
-    inputs, exactly as :meth:`CSMEngine.run` would), are submitted through
-    :func:`repro.runtime.run_jobs` on ``executor`` and their per-net
-    waveforms merged back into one :class:`WaveformTimingResult`.  With the
-    default serial executor this degrades gracefully to an in-process loop.
-    """
-    missing = [net for net in netlist.primary_inputs if net not in input_waveforms]
-    if missing:
-        raise TimingError(f"missing waveforms for primary inputs {missing}")
-    t_stop = t_stop if t_stop is not None else min(w.t_stop for w in input_waveforms.values())
-    t_start = max(w.t_start for w in input_waveforms.values())
-
-    # Characterize shared models once, up front, so parallel cone jobs ship
-    # warm model libraries instead of re-characterizing per worker.
-    models.prewarm_for_netlist(netlist, kinds=("sis", "mis"))
-
-    cones = independent_cones(netlist)
-    options_used = options or SimulationOptions()
-    stimulus_keys = CSMEngine.stimulus_keys(input_waveforms)
-    cone_context = content_hash(
-        "sta-cones",
-        "batched" if batched else "sequential",
-        options_used,
-        models.config,
-        models.use_internal_node,
-        t_start,
-        t_stop,
-    )
-    jobs = [
-        Job(
-            fn=_evaluate_cone,
-            args=(
-                cone,
-                models,
-                {net: input_waveforms[net] for net in cone.primary_inputs},
-                options,
-                batched,
-                t_start,
-                t_stop,
-            ),
-            name=f"sta:{cone.name}",
-            # Content key over the cone structure and its own stimuli: a
-            # repeated (or unaffected-by-an-edit) cone is served from the
-            # disk cache instead of being re-propagated.
-            key=content_hash(
-                "sta-cone-job",
-                cone_context,
-                netlist_fingerprint(cone),
-                sorted((net, stimulus_keys[net]) for net in cone.primary_inputs),
-            ),
-        )
-        for cone in cones
-    ]
-    results = run_jobs(jobs, executor=executor, cache=models.cache)
-
-    waveforms: Dict[str, Waveform] = {
-        net: wave.renamed(net) for net, wave in input_waveforms.items()
-    }
-    model_used: Dict[str, str] = {}
-    for result in results:
-        cone_result: WaveformTimingResult = result.value
-        waveforms.update(cone_result.waveforms)
-        model_used.update(cone_result.model_used)
-    return WaveformTimingResult(
-        waveforms=waveforms,
-        model_used=model_used,
-        netlist_name=netlist.name,
-        vdd=netlist.library.technology.vdd,
-    )

@@ -377,6 +377,32 @@ class TestTimingService:
         )
         assert not stream["ok"] and stream["code"] == "bad-request"
 
+    def test_stream_budgets_none_and_zero_do_not_share_an_engine(self, service):
+        """An unbounded streaming request must not reuse a budget-0 engine
+        (or the reverse): the engine key carries the budget as given."""
+        session = service.handle(
+            {"op": "open_session", "design": {"generate": DAG}}
+        )["session"]
+        for budget in (0, None):
+            request = {"op": "timing", "session": session, "memory_mode": "stream"}
+            if budget is not None:
+                request["memory_budget_bytes"] = budget
+            response = service.handle(request)
+            assert response["ok"], response
+        record = service._session(session)
+        assert record.engines["csm#stream:0"].memory_budget_bytes == 0
+        assert record.engines["csm#stream:None"].memory_budget_bytes is None
+        for bad in (-1, True, 1.5, "4096"):
+            response = service.handle(
+                {
+                    "op": "timing",
+                    "session": session,
+                    "memory_mode": "stream",
+                    "memory_budget_bytes": bad,
+                }
+            )
+            assert not response["ok"] and response["code"] == "bad-request", bad
+
     def test_error_frames(self, service):
         assert service.handle({"op": "nope"})["code"] == "bad-request"
         missing = service.handle({"op": "timing", "session": "s9999"})

@@ -5,7 +5,9 @@ sample, every arrival, every model choice and every propagation-cache key has
 to match the resident engine bit for bit — cold and warm, CSM and NLDM.  The
 hypothesis property drives random DAG shapes (hence random retire orders)
 under tiny hot-set budgets, so retired-then-reread nets exercise the fault
-path rather than silently reading stale rows.
+path rather than silently reading stale rows.  A second property runs the
+one tensor level loop over every combination of memory policy, corner axis
+and cone restriction against the resident, unrestricted run.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.sta import (
     primary_input_events,
     primary_input_waveforms,
 )
+from repro.sta.generate import default_time_window
+from repro.sta.mmmc import CornerSet, MulticornerTimingResult
 
 #: The 256-gate reference design named by the acceptance criteria.
 REFERENCE_SPEC = "dag:w32:d8:s11"
@@ -242,3 +246,99 @@ class TestStreamingProperty:
         resident_result = resident.run(waveforms)
         stream_result = streaming.run(waveforms)
         _assert_bitwise_equal(stream_result, resident_result)
+
+
+@pytest.fixture(scope="module")
+def tt_ss(technology):
+    return CornerSet.from_names(
+        ["TT", "SS"], technology=technology, config=CharacterizationConfig(io_grid_points=5)
+    )
+
+
+def _per_corner(result):
+    """Corner name -> single-corner result (a plain run is one corner)."""
+    if isinstance(result, MulticornerTimingResult):
+        return {name: result.result(name) for name in result.corner_order}
+    return {None: result}
+
+
+class TestUnifiedLoopProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        width=st.integers(min_value=2, max_value=5),
+        depth=st.integers(min_value=2, max_value=5),
+        netlist_seed=st.integers(min_value=0, max_value=7),
+        policy=st.sampled_from(["resident", "stream-0", "stream-unbounded"]),
+        num_corners=st.sampled_from([1, 2]),
+        restrict=st.booleans(),
+        endpoint=st.integers(min_value=0, max_value=63),
+    )
+    def test_modes_are_parameters_of_one_loop(
+        self, tt_ss, options, tmp_path_factory,
+        width, depth, netlist_seed, policy, num_corners, restrict, endpoint,
+    ):
+        """Memory policy, corner count and a closed fan-in cone restriction
+        are data of one level loop: every net a run produces is bitwise the
+        resident, unrestricted run's over the same corner set.
+
+        Each corner is evaluated as its own batch (``corner_workers`` equals
+        the corner count), i.e. with exactly its single-corner batch
+        composition.  The fused pass folds both corners into one batch; a
+        restriction shrinks that batch, and the lockstep integrator is still
+        last-ulp sensitive to batch composition (about 5e-13 V on these
+        DAGs), so fused runs are held to the 1e-9 V budget in
+        ``test_mmmc.py`` instead.
+        """
+        reference_library = tt_ss.reference
+        netlist = generate_netlist(
+            reference_library.library, f"dag:w{width}:d{depth}:s{netlist_seed}"
+        )
+        t_stop = default_time_window(netlist)
+        waveforms = primary_input_waveforms(netlist, t_stop=t_stop, seed=0)
+        corners = tt_ss if num_corners == 2 else None
+
+        def engine(**kwargs):
+            return CSMEngine(
+                netlist,
+                reference_library.models,
+                options=options,
+                cache=PackedStore(tmp_path_factory.mktemp("unified")),
+                corners=corners,
+                corner_workers=num_corners,
+                **kwargs,
+            )
+
+        reference = engine().run(waveforms, t_stop=t_stop)
+        only = None
+        if restrict:
+            outputs = netlist.primary_outputs
+            only = netlist.fanin_cone(outputs[endpoint % len(outputs)])
+        if policy == "resident":
+            candidate = engine()
+        else:
+            budget = 0 if policy == "stream-0" else None
+            candidate = engine(memory_mode="stream", memory_budget_bytes=budget)
+        result = candidate.run(waveforms, t_stop=t_stop, only=only)
+
+        expected = _per_corner(reference)
+        produced = _per_corner(result)
+        assert set(produced) == set(expected)
+        for name, corner_result in produced.items():
+            full = expected[name]
+            nets = set(corner_result.waveforms)
+            if only is None:
+                assert nets == set(full.waveforms)
+            else:
+                driven = {
+                    netlist.instances[name].connections[
+                        netlist.library[netlist.instances[name].cell_name].output
+                    ]
+                    for name in only
+                }
+                assert nets == set(netlist.primary_inputs) | driven
+            for net in nets:
+                assert np.array_equal(
+                    corner_result.waveforms[net].values, full.waveforms[net].values
+                ), (name, net)
+            for instance, label in corner_result.model_used.items():
+                assert label == full.model_used[instance], (name, instance)
