@@ -24,7 +24,7 @@ from .dc_tables import (
     characterize_mis_current,
     characterize_sis_current,
 )
-from .nldm import characterize_nldm
+from .nldm import NLDMTable, characterize_nldm_cell
 
 __all__ = [
     "characterize_sis",
@@ -264,36 +264,27 @@ def characterization_job(
 
 def run_nldm_characterization(
     cell: Cell,
-    pin: str,
-    input_rise: bool,
     input_slews: Sequence[float],
     loads: Sequence[float],
     time_step: float = 1e-12,
-):
-    """Module-level dispatch target of :func:`nldm_characterization_job`."""
-    return characterize_nldm(
-        cell,
-        pin,
-        input_rise=input_rise,
-        input_slews=tuple(input_slews),
-        loads=tuple(loads),
-        time_step=time_step,
+) -> Tuple[NLDMTable, ...]:
+    """Module-level dispatch target of :func:`nldm_characterization_job`:
+    every NLDM arc of ``cell`` as one lockstep batch, one table per arc in
+    :func:`~repro.characterization.nldm.nldm_arcs` order."""
+    return characterize_nldm_cell(
+        cell, input_slews=tuple(input_slews), loads=tuple(loads), time_step=time_step
     )
 
 
 def nldm_characterization_key(
     cell: Cell,
-    pin: str,
-    input_rise: bool,
     input_slews: Sequence[float],
     loads: Sequence[float],
     time_step: float = 1e-12,
 ) -> str:
-    """Content hash identifying one NLDM timing-arc characterization."""
+    """Content hash identifying the NLDM characterization of a whole cell."""
     return content_hash(
-        "nldm-characterization",
-        pin,
-        input_rise,
+        "nldm-cell-characterization",
         tuple(input_slews),
         tuple(loads),
         time_step,
@@ -303,17 +294,14 @@ def nldm_characterization_key(
 
 def nldm_characterization_job(
     cell: Cell,
-    pin: str,
-    input_rise: bool,
     input_slews: Sequence[float],
     loads: Sequence[float],
     time_step: float = 1e-12,
 ) -> Job:
-    """Package one NLDM arc characterization as a cacheable runtime job."""
-    edge = "rise" if input_rise else "fall"
+    """Package the NLDM characterization of one cell as a cacheable runtime job."""
     return Job(
         fn=run_nldm_characterization,
-        args=(cell, pin, input_rise, tuple(input_slews), tuple(loads), time_step),
-        name=f"characterize:nldm:{cell.name}:{pin}:{edge}",
-        key=nldm_characterization_key(cell, pin, input_rise, input_slews, loads, time_step),
+        args=(cell, tuple(input_slews), tuple(loads), time_step),
+        name=f"characterize:nldm:{cell.name}",
+        key=nldm_characterization_key(cell, input_slews, loads, time_step),
     )

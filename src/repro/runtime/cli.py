@@ -557,7 +557,11 @@ def _run_hybrid_mode(args, context, models) -> int:
         netlist = generate_netlist(context.library, spec)
         waveforms = primary_input_waveforms(netlist, seed=args.seed)
         start = time.perf_counter()
-        executed = models.prewarm_for_netlist(netlist, kinds=("sis", "mis"))
+        # NLDM tables too: the hybrid engine's NLDM pass would otherwise
+        # characterize them inside the timed run.
+        executed = models.prewarm_for_netlist(
+            netlist, kinds=("sis", "mis"), include_nldm=True
+        )
         characterization = time.perf_counter() - start
         endpoints = list(netlist.primary_outputs)
         covers_all = top_k == "all" or top_k >= len(endpoints)
@@ -615,6 +619,7 @@ def _run_hybrid_mode(args, context, models) -> int:
             "gates": len(netlist.instances),
             "endpoints": len(endpoints),
             "characterization_seconds": round(characterization, 4),
+            "characterization_executed": executed,
             "hybrid_seconds": round(hybrid_seconds, 4),
             "full_csm_seconds": round(full_seconds, 4),
             "csm_fraction": round(result.csm_fraction, 6),

@@ -635,7 +635,6 @@ class TimingService:
                     cache=self.store,
                     corners=corner_set,
                     memory_mode=memory_mode,
-                    memory_budget_bytes=memory_budget_bytes,
                 )
             else:
                 raise ServerError(

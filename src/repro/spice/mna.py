@@ -28,7 +28,7 @@ entering the positive terminal of voltage source ``j`` from the circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -36,7 +36,7 @@ from scipy.linalg.lapack import dgesv as _dgesv
 
 from ..exceptions import ConvergenceError, NetlistError
 from ..technology.mosfet import MosfetBank
-from .elements import CurrentSource, Mosfet, Resistor, VoltageSource
+from .elements import Capacitor, CurrentSource, Mosfet, Resistor, VoltageSource
 from .netlist import GROUND, Circuit
 
 __all__ = ["MNAAssembler", "NewtonOptions", "newton_solve", "newton_solve_many"]
@@ -229,11 +229,16 @@ class MNAAssembler:
         self._cs_pos = np.asarray(cs_pos, dtype=np.intp)
 
         # -- capacitor branches ----------------------------------------------
-        branches = [
-            (self._index(a), self._index(b), c)
-            for a, b, c in self.circuit.capacitor_branch_list()
-            if c > 0.0
-        ]
+        # ``capacitor_position`` maps each Capacitor element to its branch, the
+        # column a per-run capacitance override (``capacitor_values``) replaces.
+        branches = []
+        self.capacitor_position: Dict[str, int] = {}
+        for element in self.circuit.elements:
+            for a, b, c in element.capacitor_branches():
+                if c > 0.0:
+                    if isinstance(element, Capacitor):
+                        self.capacitor_position[element.name] = len(branches)
+                    branches.append((self._index(a), self._index(b), c))
         self._cap_values = np.asarray([c for _, _, c in branches])
         self._cap_a = np.asarray([padded(a) for a, _, _ in branches], dtype=np.intp)
         self._cap_b = np.asarray([padded(b) for _, b, _ in branches], dtype=np.intp)
@@ -296,19 +301,58 @@ class MNAAssembler:
             matrix[b, a] -= g
 
     # ------------------------------------------------------------------
-    def capacitor_companion_matrix(self, dt: float) -> np.ndarray:
-        """Conductance contribution ``C / dt`` of all capacitive branches."""
-        matrix = np.zeros((self.size, self.size))
-        if len(self._cap_values):
-            values = (self._cap_values / dt)[self._cap_branch] * self._cap_sign
-            np.add.at(matrix.ravel(), self._cap_flat, values)
-        return matrix
+    def capacitor_values(self, overrides: Mapping[str, float]) -> np.ndarray:
+        """Branch capacitances with some Capacitor elements set by name.
 
-    def capacitor_companion_rhs(self, dt: float, previous: np.ndarray) -> np.ndarray:
+        Returns a copy of the circuit's own branch values (one per capacitive
+        branch, MOSFET parasitics included) in which every element named in
+        ``overrides`` takes the given capacitance.
+        """
+        values = self._cap_values.copy()
+        for name, capacitance in overrides.items():
+            try:
+                position = self.capacitor_position[name]
+            except KeyError:
+                raise NetlistError(
+                    f"cannot set unknown capacitor {name!r} of circuit {self.circuit.name!r}"
+                ) from None
+            if capacitance < 0:
+                raise NetlistError(f"capacitor {name}: capacitance must be non-negative")
+            values[position] = capacitance
+        return values
+
+    def capacitor_companion_matrix(
+        self, dt, values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Conductance contribution ``C / dt`` of all capacitive branches.
+
+        With per-run branch capacitances ``values`` of shape ``(B, K)`` (see
+        :meth:`capacitor_values`) and ``dt`` a scalar or a ``(B,)`` vector of
+        per-run steps, returns ``(B, size, size)``: row ``b`` is bitwise the
+        unbatched matrix of run ``b``'s step and capacitances.
+        """
+        if values is None:
+            return self.capacitor_companion_matrix(dt, self._cap_values[None])[0]
+        batch = values.shape[0]
+        matrices = np.zeros((batch, self.size, self.size))
+        if len(self._cap_values):
+            scaled = (values / np.reshape(dt, (-1, 1)))[:, self._cap_branch] * self._cap_sign
+            np.add.at(
+                matrices.reshape(batch, -1),
+                (np.arange(batch)[:, None], self._cap_flat[None, :]),
+                scaled,
+            )
+        return matrices
+
+    def capacitor_companion_rhs(
+        self, dt, previous: np.ndarray, values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Right-hand-side contribution of capacitor branches (backward Euler).
 
         ``previous`` may be a single solution vector ``(size,)`` or a batch
-        ``(B, size)``; the result has the matching shape.
+        ``(B, size)``; the result has the matching shape.  A batch may carry
+        per-run capacitances ``values`` ``(B, K)`` and per-run steps ``dt``
+        ``(B,)``, as in :meth:`capacitor_companion_matrix`.
         """
         previous = np.asarray(previous, dtype=float)
         batched = previous.ndim == 2
@@ -319,9 +363,10 @@ class MNAAssembler:
         padded_shape = previous.shape[:-1] + (self.size + 1,)
         padded = np.zeros(padded_shape)
         padded[..., : self.size] = previous
-        g_times_v = (self._cap_values / dt) * (
-            padded[..., self._cap_a] - padded[..., self._cap_b]
+        conductance = (
+            self._cap_values / dt if values is None else values / np.reshape(dt, (-1, 1))
         )
+        g_times_v = conductance * (padded[..., self._cap_a] - padded[..., self._cap_b])
         contributions = self._cap_rhs_sign * g_times_v[..., self._cap_rhs_branch]
         if batched:
             batch = previous.shape[0]
@@ -419,8 +464,9 @@ class MNAAssembler:
             Per-run source values, shapes ``(B, num_voltage_sources)`` and
             ``(B, num_current_sources)``.
         cap_matrix:
-            Shared companion-conductance matrix (same topology and dt for all
-            runs), or ``None`` for DC.
+            Companion-conductance matrix shared by every run ``(size, size)``
+            or one per run ``(B, size, size)`` (per-run steps or
+            capacitances), or ``None`` for DC.
         cap_rhs:
             Per-run companion right-hand sides, shape ``(B, size)``.
 
@@ -580,8 +626,8 @@ def newton_solve_many(
 ) -> np.ndarray:
     """Damped Newton-Raphson over a batch of ``B`` independent bias points.
 
-    All runs share the circuit topology (and companion conductances); each run
-    has its own source values and candidate solution.  Runs drop out of the
+    All runs share the circuit topology; each run has its own source values
+    and candidate solution, and may have its own companion conductances.  Runs drop out of the
     iteration as soon as they individually satisfy the tolerances: each
     subsequent iteration assembles and factorizes only the *active*
     (non-converged) subset, so wide batches with a few straggling runs don't
@@ -613,7 +659,7 @@ def newton_solve_many(
             solutions[subset],
             vs_values[subset],
             cs_values[subset],
-            cap_matrix,
+            cap_matrix if cap_matrix is None or cap_matrix.ndim == 2 else cap_matrix[subset],
             None if cap_rhs is None else cap_rhs[subset],
         )
         try:

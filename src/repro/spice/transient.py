@@ -14,13 +14,14 @@ arrays instead of per-step list appends, and :meth:`TransientAnalysis.run_many`
 integrates a whole batch of stimulus variants of the same circuit in lockstep
 through the batched Newton solver (one ``np.linalg.solve`` over ``(B, n, n)``
 per iteration).  The capacitance-characterization flows use that to run all
-their ramp variants simultaneously.
+their ramp variants simultaneously; NLDM characterization runs every arc of a
+cell as one batch, each run with its own load capacitance and its own grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,7 +86,15 @@ class TransientAnalysis:
         t_stop: float,
         t_start: float,
         extra_breakpoints: Iterable[float] = (),
+        overrides: Optional[Mapping[str, Stimulus]] = None,
     ) -> np.ndarray:
+        """The step grid from ``t_start`` to ``t_stop`` with stimulus breakpoints.
+
+        ``overrides`` replaces the stimuli of some sources by name (one
+        lockstep run's stimulus set), so the grid is the one a scalar
+        :meth:`run` would use with those stimuli attached.
+        """
+        overrides = overrides or {}
         base = np.arange(t_start, t_stop + 0.5 * self.options.time_step, self.options.time_step)
         # np.arange can overshoot t_stop by up to half a step; the window must
         # end exactly at t_stop so waveform comparisons line up.
@@ -96,7 +105,7 @@ class TransientAnalysis:
         breakpoints: List[float] = list(extra_breakpoints)
         if self.options.include_breakpoints:
             for source in self.assembler.voltage_sources + self.assembler.current_sources:
-                breakpoints.extend(source.stimulus.breakpoints())
+                breakpoints.extend(overrides.get(source.name, source.stimulus).breakpoints())
         inside = [t for t in breakpoints if t_start < t < t_stop]
         if not inside:
             return base
@@ -299,27 +308,53 @@ class TransientAnalysis:
     def run_many(
         self,
         stimulus_sets: Sequence[Mapping[str, Union[Stimulus, float]]],
-        t_stop: float,
+        t_stop: Union[float, Sequence[float]],
         t_start: float = 0.0,
         initial_voltages: Optional[Dict[str, float]] = None,
         record_nodes: Optional[Sequence[str]] = None,
+        capacitor_values: Optional[Sequence[Mapping[str, float]]] = None,
     ) -> List[TransientResult]:
-        """Integrate several stimulus variants of this circuit in lockstep.
+        """Integrate several variants of this circuit in lockstep.
 
         Every entry of ``stimulus_sets`` maps *source element names* to the
         stimulus that run should apply (bare numbers become DC values); sources
-        not listed keep the stimulus currently attached to the circuit.  All
-        runs share one time grid — the union of every run's breakpoints — and
-        every integration step solves all runs through one batched Newton
+        not listed keep the stimulus currently attached to the circuit.  Every
+        integration step solves all runs through one batched Newton
         iteration, which is dramatically faster than sequential runs for the
         characterization sweeps.
 
-        Returns one :class:`TransientResult` per entry, in order.
+        Besides the stimuli, two data channels vary per run:
+
+        ``t_stop``
+            One stop time gives every run one shared time grid, the union of
+            every run's breakpoints, and the companion matrix (plus, for
+            linear circuits, its LU factors) is cached per distinct step.
+            One stop time per run gives every run exactly the grid its
+            scalar :meth:`run` would use: its own breakpoints up to its own
+            stop time.  A run leaves the batch when its grid ends, and its
+            result does not depend on which other runs share its batch.
+        ``capacitor_values``
+            One mapping per run from Capacitor element names to that run's
+            capacitance (for example ``{"CLOAD": 5e-15}``); each run's value
+            enters its own companion matrix and right-hand side.  Unlisted
+            capacitors keep their circuit value.
+
+        Newton tolerances, damping, the iteration limit and the DC start are
+        the same as :meth:`run`'s.  Returns one :class:`TransientResult` per
+        entry, in order.
         """
-        if t_stop <= t_start:
+        stops = np.asarray(t_stop, dtype=float)
+        if np.any(stops <= t_start):
             raise AnalysisError("t_stop must be greater than t_start")
         if not stimulus_sets:
             return []
+        batch = len(stimulus_sets)
+        per_run_grids = stops.ndim == 1
+        if per_run_grids and len(stops) != batch:
+            raise AnalysisError("t_stop needs one stop time per stimulus set")
+        stops = np.broadcast_to(stops, (batch,))
+        if capacitor_values is not None and len(capacitor_values) != batch:
+            raise AnalysisError("capacitor_values needs one mapping per stimulus set")
 
         assembler = self.assembler
         known_sources = {s.name for s in assembler.voltage_sources} | {
@@ -336,21 +371,48 @@ class TransientAnalysis:
                 )
             overrides.append(resolved)
 
-        extra_breakpoints: List[float] = []
-        for resolved in overrides:
-            for stimulus in resolved.values():
-                extra_breakpoints.extend(stimulus.breakpoints())
-        times = self._time_grid(t_stop, t_start, extra_breakpoints=extra_breakpoints)
-        num_steps = len(times)
-        batch = len(overrides)
+        if per_run_grids:
+            grids = [
+                self._time_grid(float(stop), t_start, overrides=resolved)
+                for stop, resolved in zip(stops, overrides)
+            ]
+        else:
+            extra_breakpoints: List[float] = []
+            for resolved in overrides:
+                for stimulus in resolved.values():
+                    extra_breakpoints.extend(stimulus.breakpoints())
+            grids = [self._time_grid(float(stops[0]), t_start, extra_breakpoints=extra_breakpoints)]
+        # ``times`` holds one row per grid (one shared row, or one per run);
+        # rows shorter than the longest repeat their last time, a zero step
+        # that no run integrates.
+        lengths = np.array([len(grid) for grid in grids])
+        num_steps = int(lengths.max())
+        times = np.empty((len(grids), num_steps))
+        for row, grid in enumerate(grids):
+            times[row, : len(grid)] = grid
+            times[row, len(grid) :] = grid[-1]
+        # One shared grid over the circuit's own capacitors shares one
+        # companion matrix per step (cached per distinct step); per-run grids
+        # or capacitances index a bank of per-run matrices built up front.
+        bank = pick = capacitances = None
+        if per_run_grids or capacitor_values is not None:
+            capacitances = np.stack(
+                [assembler.capacitor_values(values) for values in capacitor_values or [{}] * batch]
+            )
+            bank, pick = self._companion_bank(
+                grids if per_run_grids else grids * batch, capacitances
+            )
         nodes = self._record_indices(record_nodes)
 
-        vs_all = np.empty((batch, len(assembler.voltage_sources), num_steps))
-        cs_all = np.empty((batch, len(assembler.current_sources), num_steps))
+        vs_all = np.zeros((batch, len(assembler.voltage_sources), num_steps))
+        cs_all = np.zeros((batch, len(assembler.current_sources), num_steps))
         for run, resolved in enumerate(overrides):
-            vs_all[run], cs_all[run] = self._sample_sources(times, overrides=resolved)
+            grid = grids[run if per_run_grids else 0]
+            vs_all[run, :, : len(grid)], cs_all[run, :, : len(grid)] = self._sample_sources(
+                grid, overrides=resolved
+            )
 
-        solutions = self._initial_solutions_many(initial_voltages, times[0], vs_all, cs_all, overrides)
+        solutions = self._initial_solutions_many(initial_voltages, t_start, vs_all, cs_all, overrides)
 
         node_gather, branch_gather = self._recording_plan(nodes)
         record_currents = self.options.record_source_currents
@@ -373,23 +435,35 @@ class TransientAnalysis:
         from scipy.linalg import lu_solve
 
         for step in range(1, num_steps):
-            dt = times[step] - times[step - 1]
-            if dt <= 0:
+            step_dt = times[:, step] - times[:, step - 1]
+            moving = step_dt > 0
+            if not moving.any():
                 record(step, solutions)
                 continue
-            cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
-            cap_rhs = assembler.capacitor_companion_rhs(dt, solutions)
-            vs_step = vs_all[:, :, step]
-            cs_step = cs_all[:, :, step]
-            if lu is not None:
-                rhs = np.empty((batch, assembler.size))
-                for run in range(batch):
-                    rhs[run] = assembler.build_rhs(cap_rhs[run], vs_step[run], cs_step[run])
-                solutions = lu_solve(lu, rhs.T, check_finite=False).T
+            if moving.all():
+                runs = slice(None)
+                dt = step_dt if per_run_grids else step_dt[0]
+            else:  # the runs whose grids have ended sit this step out
+                runs = np.flatnonzero(moving)
+                dt = step_dt[runs]
+            previous = solutions[runs]
+            if bank is None:
+                cap_matrix, _, lu = self._step_cache_entry(step_cache, dt)
+                cap_rhs = assembler.capacitor_companion_rhs(dt, previous)
             else:
-                solutions = newton_solve_many(
+                cap_matrix, lu = bank[pick[runs, step]], None
+                cap_rhs = assembler.capacitor_companion_rhs(dt, previous, capacitances[runs])
+            vs_step = vs_all[runs, :, step]
+            cs_step = cs_all[runs, :, step]
+            if lu is not None:
+                rhs = np.empty_like(previous)
+                for run in range(len(previous)):
+                    rhs[run] = assembler.build_rhs(cap_rhs[run], vs_step[run], cs_step[run])
+                solutions[runs] = lu_solve(lu, rhs.T, check_finite=False).T
+            else:
+                solutions[runs] = newton_solve_many(
                     assembler,
-                    solutions,
+                    previous,
                     vs_step,
                     cs_step,
                     cap_matrix=cap_matrix,
@@ -400,15 +474,44 @@ class TransientAnalysis:
 
         results: List[TransientResult] = []
         for run in range(batch):
+            length = lengths[run if per_run_grids else 0]
             results.append(
                 self._package_result(
-                    times,
+                    grids[run if per_run_grids else 0],
                     nodes,
-                    voltage_block[run],
-                    current_block[run] if current_block is not None else None,
+                    voltage_block[run, :, :length],
+                    current_block[run, :, :length] if current_block is not None else None,
                 )
             )
         return results
+
+    def _companion_bank(
+        self, grids: Sequence[np.ndarray], capacitances: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every companion matrix of a batch with per-run steps or capacitances.
+
+        Returns ``(bank, pick)``: run ``r`` at step ``k`` uses
+        ``bank[pick[r, k]]``.  Like the cache of a scalar :meth:`run`, each
+        run keys its matrices by the step rounded to 1e-18 s and builds each
+        from the first step seen with that key, so a run's matrices depend on
+        its own grid and capacitances only, never on the other runs of its
+        batch.
+        """
+        assembler = self.assembler
+        pick = np.zeros((len(grids), max(len(grid) for grid in grids)), dtype=np.intp)
+        banks: List[np.ndarray] = []
+        offset = 0
+        for run, grid in enumerate(grids):
+            dts = np.diff(grid)
+            steps = np.flatnonzero(dts > 0)
+            keys, first, inverse = np.unique(
+                np.round(dts[steps], 18), return_index=True, return_inverse=True
+            )
+            values = np.broadcast_to(capacitances[run], (len(keys), capacitances.shape[1]))
+            banks.append(assembler.capacitor_companion_matrix(dts[steps][first], values))
+            pick[run, steps + 1] = offset + inverse
+            offset += len(keys)
+        return np.concatenate(banks), pick
 
     def _initial_solutions_many(
         self,

@@ -229,7 +229,6 @@ class HybridEngine(TimingEngine):
         cone_depth: Optional[int] = None,
         corners: Optional[CornerSet] = None,
         memory_mode: str = "resident",
-        memory_budget_bytes: Optional[int] = None,
     ):
         if corners is not None:
             raise TimingError(
@@ -238,8 +237,8 @@ class HybridEngine(TimingEngine):
             )
         if memory_mode != "resident":
             raise TimingError(
-                "the hybrid engine requires memory_mode='resident' (its "
-                "restricted CSM cones are not streamable)"
+                "the hybrid engine requires memory_mode='resident' (it runs "
+                "its CSM cones resident; streaming them is not wired in)"
             )
         super().__init__(netlist, models)
         if max_iterations < 1:

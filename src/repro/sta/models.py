@@ -9,7 +9,8 @@ characterization runs as a content-addressed :mod:`repro.runtime` job, a
 library wired to a :class:`~repro.runtime.cache.ResultCache` never recomputes
 a model that *any* previous session already built: engine construction over a
 warm cache is a no-op.  :meth:`prewarm` / :meth:`prewarm_for_netlist` submit
-one job per cell × model kind as a single (optionally parallel) job set.
+one job per cell × model kind as a single (optionally parallel) job set; the
+NLDM tables of a cell are one job that characterizes every arc of it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..characterization.characterize import (
 from ..characterization.config import CharacterizationConfig
 from ..characterization.nldm import NLDMTable
 from ..csm.models import MCSM, BaselineMISCSM, SISCSM
-from ..exceptions import TimingError
+from ..exceptions import CharacterizationError, TimingError
 from ..runtime.cache import ResultCache
 from ..runtime.executor import Executor, run_jobs
 from ..runtime.jobs import Job
@@ -68,7 +69,8 @@ class TimingModelLibrary:
     _sis: Dict[Tuple[str, str], SISCSM] = field(default_factory=dict, repr=False)
     _mis: Dict[Tuple[str, str, str], BaselineMISCSM] = field(default_factory=dict, repr=False)
     _mcsm: Dict[Tuple[str, str, str], MCSM] = field(default_factory=dict, repr=False)
-    _nldm: Dict[Tuple[str, str, bool], NLDMTable] = field(default_factory=dict, repr=False)
+    #: Cell name -> the NLDM tables of all its arcs (one characterization job).
+    _nldm: Dict[str, Tuple[NLDMTable, ...]] = field(default_factory=dict, repr=False)
 
     def __getstate__(self):
         # Worker pools are not picklable; a library shipped to a worker
@@ -119,19 +121,19 @@ class TimingModelLibrary:
             self._mis[key] = self._characterized("mis", cell, (pin_a, pin_b))
         return self._mis[key]
 
+    def _nldm_job(self, cell: Cell) -> Job:
+        """Every NLDM arc of one cell as one cacheable job."""
+        return nldm_characterization_job(cell, self.nldm_input_slews, self.nldm_loads)
+
     def nldm_table(self, cell_name: str, pin: str, input_rise: bool) -> NLDMTable:
-        key = (cell_name, pin, input_rise)
-        if key not in self._nldm:
-            job = nldm_characterization_job(
-                self.cell(cell_name),
-                pin,
-                input_rise=input_rise,
-                input_slews=self.nldm_input_slews,
-                loads=self.nldm_loads,
-            )
-            [result] = self._run_jobs([job], parallel=False)
-            self._nldm[key] = result.value
-        return self._nldm[key]
+        """One arc's tables; a miss characterizes (and memoizes) the whole cell."""
+        if cell_name not in self._nldm:
+            [result] = self._run_jobs([self._nldm_job(self.cell(cell_name))], parallel=False)
+            self._nldm[cell_name] = result.value
+        for table in self._nldm[cell_name]:
+            if table.pin == pin and table.input_rise == input_rise:
+                return table
+        raise CharacterizationError(f"cell {cell_name!r} has no input pin {pin!r}")
 
     # ------------------------------------------------------------------
     # Whole-library characterization as one job set
@@ -155,7 +157,7 @@ class TimingModelLibrary:
             ``use_internal_node``) for every input-pin combination.
         include_nldm:
             Also characterize the NLDM delay/slew tables (both edge
-            directions) for every input pin.
+            directions, every input pin): one job per cell.
 
         Returns the number of jobs that actually executed — i.e. were neither
         memoized in this library nor served from the disk cache.  With a warm
@@ -166,7 +168,7 @@ class TimingModelLibrary:
         jobs: List[Job] = []
         targets: List[Tuple[Dict, Tuple]] = []
 
-        def submit(store: Dict, memo_key: Tuple, job: Job) -> None:
+        def submit(store: Dict, memo_key, job: Job) -> None:
             if memo_key not in store:
                 jobs.append(job)
                 targets.append((store, memo_key))
@@ -189,19 +191,7 @@ class TimingModelLibrary:
                         characterization_job(kind, cell, (pin_a, pin_b), self.config),
                     )
             if include_nldm:
-                for pin in cell.inputs:
-                    for input_rise in (True, False):
-                        submit(
-                            self._nldm,
-                            (cell.name, pin, input_rise),
-                            nldm_characterization_job(
-                                cell,
-                                pin,
-                                input_rise=input_rise,
-                                input_slews=self.nldm_input_slews,
-                                loads=self.nldm_loads,
-                            ),
-                        )
+                submit(self._nldm, cell.name, self._nldm_job(cell))
 
         results = self._run_jobs(jobs)
         executed = 0

@@ -4,17 +4,37 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.cells.testbench import build_testbench
 from repro.characterization import (
     CharacterizationConfig,
     NLDMTable,
     ProbeBench,
     characterize_nldm,
     characterize_sis,
+    nldm_arcs,
+    nldm_characterization_key,
+)
+from repro.characterization.nldm import (
+    RAMP_START,
+    measure_nldm_run,
+    nldm_runs,
+    simulate_nldm_runs,
 )
 from repro.csm.base import cap_value
-from repro.exceptions import CharacterizationError
+from repro.exceptions import AnalysisError, CharacterizationError, NetlistError
+from repro.runtime import PackedStore
+from repro.spice.sources import SaturatedRamp
+from repro.spice.transient import TransientAnalysis, TransientOptions, transient_analysis
+from repro.sta.models import TimingModelLibrary
 from repro.technology import terminal_capacitances
+from repro.waveform.metrics import propagation_delay, transition_time
+
+#: The NLDM grid the timing-model library characterizes.
+LIBRARY_SLEWS = TimingModelLibrary.nldm_input_slews
+LIBRARY_LOADS = TimingModelLibrary.nldm_loads
 
 
 class TestConfig:
@@ -187,3 +207,142 @@ class TestNLDM:
     def test_requires_multiple_grid_points(self, nor2):
         with pytest.raises(CharacterizationError):
             characterize_nldm(nor2, "A", input_slews=(30e-12,), loads=(3e-15,))
+        with pytest.raises(CharacterizationError):
+            characterize_nldm(nor2, "A", input_slews=(30e-12, 60e-12), loads=(0.0, 3e-15))
+
+
+def _scalar_nldm_point(cell, pin, input_rise, input_slew, load, time_step=1e-12):
+    """The scalar oracle: one testbench and one transient per point, with the
+    window of the original per-point loop."""
+    vdd = cell.technology.vdd
+    output_rise = cell.output_for_pin(pin, 1 if input_rise else 0) == 1
+    fixed = {
+        other: cell.non_controlling_value(other) * vdd for other in cell.inputs if other != pin
+    }
+    ramp = SaturatedRamp(
+        0.0 if input_rise else vdd, vdd if input_rise else 0.0, RAMP_START, input_slew
+    )
+    bench = build_testbench(cell, {pin: ramp, **fixed}, load_capacitance=load)
+    t_stop = RAMP_START + input_slew + max(30 * load * 1e12 * 1e-12, 600e-12)
+    result = transient_analysis(
+        bench.circuit,
+        t_stop=t_stop,
+        options=TransientOptions(time_step=time_step, record_source_currents=False),
+    )
+    output_wave = result.waveform(cell.output)
+    delay = propagation_delay(
+        result.waveform(pin),
+        output_wave,
+        vdd,
+        input_direction="rise" if input_rise else "fall",
+        output_direction="rise" if output_rise else "fall",
+    )
+    slew = transition_time(output_wave, vdd, direction="rise" if output_rise else "fall")
+    return result.times, delay, slew
+
+
+class TestNLDMBatch:
+    """Every arc of a cell as one lockstep batch with per-run loads and grids."""
+
+    @pytest.mark.parametrize("cell_name", ["INV_X1", "NOR2_X1"])
+    def test_matches_scalar_oracle(self, library, cell_name):
+        cell = library[cell_name]
+        runs = nldm_runs(cell, nldm_arcs(cell), LIBRARY_SLEWS, LIBRARY_LOADS)
+        assert len(runs) == 2 * len(cell.inputs) * len(LIBRARY_SLEWS) * len(LIBRARY_LOADS)
+        results = simulate_nldm_runs(cell, runs)
+        for run, result in zip(runs, results):
+            times, delay, slew = _scalar_nldm_point(
+                cell, run.pin, run.input_rise, run.input_slew, run.load
+            )
+            assert np.array_equal(result.times, times), run
+            batch_delay, batch_slew = measure_nldm_run(cell, run, result)
+            assert batch_delay == pytest.approx(delay, rel=1e-12, abs=0.0), run
+            assert batch_slew == pytest.approx(slew, rel=1e-12, abs=0.0), run
+
+    @pytest.fixture(scope="class")
+    def nor2_batch(self, library):
+        cell = library["NOR2_X1"]
+        runs = nldm_runs(cell, nldm_arcs(cell), (30e-12, 120e-12), (3e-15, 15e-15))
+        return cell, runs, simulate_nldm_runs(cell, runs)
+
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_partitions_are_bitwise_identical(self, nor2_batch, data):
+        cell, runs, whole = nor2_batch
+        order = data.draw(st.permutations(range(len(runs))), label="order")
+        cuts = data.draw(
+            st.sets(st.integers(1, len(runs) - 1), max_size=3), label="cuts"
+        )
+        bounds = [0, *sorted(cuts), len(runs)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            members = order[lo:hi]
+            part = simulate_nldm_runs(cell, [runs[i] for i in members])
+            for i, result in zip(members, part):
+                assert np.array_equal(result.times, whole[i].times)
+                for node, trace in whole[i].node_voltages.items():
+                    assert np.array_equal(result.node_voltages[node], trace), (runs[i], node)
+                assert measure_nldm_run(cell, runs[i], result) == measure_nldm_run(
+                    cell, runs[i], whole[i]
+                )
+
+    @pytest.mark.parametrize("t_stop", [500e-12, [500e-12, 450e-12, 400e-12]])
+    def test_unchanged_capacitor_values_are_bitwise_a_no_op(self, nor2, t_stop):
+        """Shared grid (one stop time) and per-run grids (one per run)."""
+        bench = build_testbench(nor2, load_capacitance=8e-15)
+        stimulus_sets = [
+            {"VA": SaturatedRamp(0.0, 1.2, 50e-12, slew), "VB": SaturatedRamp(1.2, 0.0, 80e-12, 40e-12)}
+            for slew in (20e-12, 60e-12, 150e-12)
+        ]
+        engine = TransientAnalysis(bench.circuit, TransientOptions(time_step=2e-12))
+        plain = engine.run_many(stimulus_sets, t_stop)
+        channel = engine.run_many(
+            stimulus_sets,
+            t_stop,
+            capacitor_values=[{"CLOAD": 8e-15}] * len(stimulus_sets),
+        )
+        for a, b in zip(plain, channel):
+            assert np.array_equal(a.times, b.times)
+            for node in a.node_voltages:
+                assert np.array_equal(a.node_voltages[node], b.node_voltages[node]), node
+            for source in a.source_currents:
+                assert np.array_equal(a.source_currents[source], b.source_currents[source])
+
+    def test_per_run_stop_times(self, nor2):
+        engine = TransientAnalysis(build_testbench(nor2, load_capacitance=8e-15).circuit)
+        results = engine.run_many([{}, {}], [300e-12, 400e-12])
+        assert [result.times[-1] for result in results] == [300e-12, 400e-12]
+        with pytest.raises(AnalysisError):
+            engine.run_many([{}, {}], [300e-12])
+        with pytest.raises(NetlistError):
+            engine.run_many([{}, {}], 300e-12, capacitor_values=[{"CNOPE": 1e-15}] * 2)
+
+    def test_cell_job_round_trips_through_packed_store(self, library, tmp_path):
+        store = PackedStore(tmp_path / "store")
+        kwargs = dict(
+            library=library,
+            nldm_input_slews=(40e-12, 120e-12),
+            nldm_loads=(3e-15, 12e-15),
+            cache=store,
+        )
+        inverter = library["INV_X1"]
+        cold = TimingModelLibrary(**kwargs)
+        assert cold.prewarm(cells=[inverter], kinds=(), include_nldm=True) == 1
+        hit, stored = store.lookup(
+            nldm_characterization_key(inverter, (40e-12, 120e-12), (3e-15, 12e-15))
+        )
+        assert hit and isinstance(stored, tuple)
+        assert [(table.pin, table.input_rise) for table in stored] == list(nldm_arcs(inverter))
+
+        warm = TimingModelLibrary(**kwargs)
+        assert warm.prewarm(cells=[inverter], kinds=(), include_nldm=True) == 0
+        for pin, input_rise in nldm_arcs(inverter):
+            a = cold.nldm_table("INV_X1", pin, input_rise)
+            b = warm.nldm_table("INV_X1", pin, input_rise)
+            assert b.output_rise == a.output_rise
+            assert np.array_equal(a.delay_table.values, b.delay_table.values)
+            assert np.array_equal(a.slew_table.values, b.slew_table.values)
+            assert a.delay_table.axes == b.delay_table.axes

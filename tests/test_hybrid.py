@@ -261,3 +261,26 @@ class TestEcoRefinement:
         assert set(after_inside.refined_instances) == {"deep0", "deep1", "deep2"}
         assert hybrid.csm.last_stats.integrations >= 2
         assert after_inside.is_exact("d3")
+
+
+# ----------------------------------------------------------------------
+# CLI: characterization stays out of the timed hybrid run
+# ----------------------------------------------------------------------
+def test_cli_hybrid_prewarms_nldm_and_reruns_warm(tmp_path):
+    import json
+
+    from repro.runtime.cli import main
+
+    def run(label):
+        report = tmp_path / f"{label}.json"
+        argv = ["--sta", "chain:3", "--engine", "hybrid", "--top-k", "all",
+                "--cache", str(tmp_path / "cache"), "--json", str(report)]
+        assert main(argv) == 0
+        return json.loads(report.read_text())["designs"]["chain:3"]
+
+    cold = run("cold")
+    # INV_X1: its SIS model and its NLDM tables (one job for the cell).
+    assert cold["characterization_executed"] == 2
+    warm = run("warm")
+    assert warm["characterization_executed"] == 0
+    assert warm["exact_nets_bitwise_vs_full"]
